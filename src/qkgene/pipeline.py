@@ -14,7 +14,6 @@ kernel treats it as a physical device setting rather than a derived stream.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -24,7 +23,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import classifier, metrics, quantum, reduction
-from .data_io import LabeledDataset, PhaseScaler, SplitSpec, load_csv, stratified_split
+from .data_io import (LabeledDataset, PhaseScaler, SplitSpec, load_csv, long_format_lines,
+                      render, stratified_split, table_lines, write_text)
+# under its old name: perfbench/tracer.py times the pipeline's CSV writes by
+# wrapping pipeline._write_csv, which the writers below look up at call time
+from .data_io import write_csv as _write_csv
 from .errors import ConfigError
 from .optimizer import FeatureMask, FitnessConfig, HhoParams, run_bhho
 from .sampling import SmoteConfig, smote_oversample
@@ -380,40 +383,29 @@ def _out_path(cfg: PipelineConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _render(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: str, hash_text: str, header: list[str], rows,
-               extra_comments: list[str] | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={hash_text}\n")
-        for comment in extra_comments or []:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_render(v) for v in row])
+def _remove(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
 
 
 def _write_mask(cfg, hash_text, mask: FeatureMask, gene_names: list[str]) -> None:
     names = gene_names or [f"g{i:04d}" for i in range(len(mask.bits))]
-    _write_csv(_out_path(cfg, "mask.csv"), hash_text, ["gene", "selected"],
-               zip(names, (int(b) for b in mask.bits)))
+    _write_csv(_out_path(cfg, "mask.csv"), [f"config_hash={hash_text}"],
+               ["gene", "selected"],
+               table_lines(zip(names, (int(b) for b in mask.bits))))
 
 
 def _write_convergence(cfg, hash_text, history) -> None:
     rows = [(t, fit, count) for t, (fit, count) in enumerate(history)]
-    _write_csv(_out_path(cfg, "convergence.csv"), hash_text,
-               ["iteration", "best_fitness", "selected_count"], rows)
+    _write_csv(_out_path(cfg, "convergence.csv"), [f"config_hash={hash_text}"],
+               ["iteration", "best_fitness", "selected_count"], table_lines(rows))
 
 
 def _write_kernel(cfg, hash_text, name: str, matrix: np.ndarray) -> None:
-    rows = ((i, j, float(matrix[i, j]))
-            for i in range(matrix.shape[0]) for j in range(matrix.shape[1]))
-    _write_csv(_out_path(cfg, name), hash_text, ["row", "col", "value"], rows)
+    _write_csv(_out_path(cfg, name), [f"config_hash={hash_text}"],
+               ["row", "col", "value"], long_format_lines(matrix))
 
 
 def _write_model(cfg, hash_text, model: classifier.SvmModel) -> None:
@@ -421,21 +413,28 @@ def _write_model(cfg, hash_text, model: classifier.SvmModel) -> None:
     support[model.support_indices] = 1
     rows = ((i, float(a), int(label), int(s)) for i, (a, label, s)
             in enumerate(zip(model.alphas, model.train_labels, support)))
-    _write_csv(_out_path(cfg, "model.csv"), hash_text,
-               ["index", "alpha", "label", "support"], rows,
-               extra_comments=[f"c={_render(model.c)}",
-                               f"bias={_render(model.bias)}",
-                               f"kkt_violation={_render(model.kkt_violation)}"])
+    _write_csv(_out_path(cfg, "model.csv"),
+               [f"config_hash={hash_text}", f"c={render(model.c)}",
+                f"bias={render(model.bias)}",
+                f"kkt_violation={render(model.kkt_violation)}"],
+               ["index", "alpha", "label", "support"], table_lines(rows))
 
 
 def _write_roc(cfg, hash_text, curve) -> None:
-    _write_csv(_out_path(cfg, "roc.csv"), hash_text, ["threshold", "fpr", "tpr"], curve)
+    _write_csv(_out_path(cfg, "roc.csv"), [f"config_hash={hash_text}"],
+               ["threshold", "fpr", "tpr"], table_lines(curve))
+
+
+def _write_compare(cfg, hash_text, rows: list[dict], input_hash: str) -> None:
+    header = ["kernel", "accuracy", "precision", "recall", "specificity", "f1", "auc"]
+    _write_csv(_out_path(cfg, "compare.csv"),
+               [f"config_hash={hash_text}", f"input_hash={input_hash}"],
+               header, table_lines([r[k] for k in header] for r in rows))
 
 
 def _write_metrics(cfg, payload: dict) -> None:
-    with open(_out_path(cfg, "metrics.json"), "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+    write_text(_out_path(cfg, "metrics.json"),
+               [json.dumps(payload, sort_keys=True, separators=(",", ":")), "\n"])
 
 
 def run_select(cfg: PipelineConfig, ds: LabeledDataset | None = None,
@@ -485,7 +484,11 @@ def run_train(cfg: PipelineConfig, use_selection: bool = True,
 
 def run_full(cfg: PipelineConfig, use_selection: bool = True,
              ds: LabeledDataset | None = None, write: bool = True) -> dict:
-    """Whole pipeline; returns the metrics payload written to metrics.json."""
+    """Whole pipeline; returns the metrics payload written to metrics.json.
+
+    metrics.json is removed before the first write and written after the
+    last, so it is present only when the rest of the run's artifacts are.
+    """
     prep = prepare(cfg, use_selection, ds)
     k_train, k_cross = _kernels(cfg, prep)
     model = _train(cfg, k_train, prep.train.labels, cfg.qk_map)
@@ -505,7 +508,13 @@ def run_full(cfg: PipelineConfig, use_selection: bool = True,
         input_hash=prep.input_hash,
     )
     if write:
-        if prep.mask is not None:
+        # drop the old completion marker first, and whatever this run will
+        # not overwrite, so the out dir never mixes two runs
+        _remove(_out_path(cfg, "metrics.json"))
+        if prep.mask is None:
+            for name in ("mask.csv", "convergence.csv"):
+                _remove(_out_path(cfg, name))
+        else:
             _write_mask(cfg, hash_text, prep.mask, prep.gene_names)
             _write_convergence(cfg, hash_text, prep.history)
         reduction.save_pca_model(prep.pca, _out_path(cfg, "pca_model.csv"),
@@ -544,11 +553,5 @@ def run_compare_kernels(cfg: PipelineConfig, ds: LabeledDataset | None = None,
             "auc": summary["auc"],
         })
     if write:
-        _write_csv(
-            _out_path(cfg, "compare.csv"), config_hash(cfg),
-            ["kernel", "accuracy", "precision", "recall", "specificity", "f1", "auc"],
-            ([r[k] for k in ("kernel", "accuracy", "precision", "recall",
-                             "specificity", "f1", "auc")] for r in rows),
-            extra_comments=[f"input_hash={prep.input_hash}"],
-        )
+        _write_compare(cfg, config_hash(cfg), rows, prep.input_hash)
     return CompareResult(rows=rows, input_hash=prep.input_hash)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import long_format_lines, write_csv
 from .errors import DataError, NumericalError
 
 # relative eigenvalue threshold below which a direction counts as zero-variance
@@ -114,18 +115,13 @@ def pca_transform(model: PcaModel, features) -> np.ndarray:
 
 def save_pca_model(model: PcaModel, path, header_comment: str = "") -> None:
     """Persist as long-format CSV: kind (mean|variance|component), i, j, value."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "i", "j", "value"])
-        for j, v in enumerate(model.mean):
-            writer.writerow(["mean", 0, j, repr(float(v))])
-        for i, v in enumerate(model.explained_variance):
-            writer.writerow(["variance", i, 0, repr(float(v))])
-        for i, row in enumerate(model.components):
-            for j, v in enumerate(row):
-                writer.writerow(["component", i, j, repr(float(v))])
+    blocks = (("mean,", model.mean[np.newaxis, :]),
+              ("variance,", model.explained_variance[:, np.newaxis]),
+              ("component,", model.components))
+    write_csv(path, [header_comment] if header_comment else [],
+              ["kind", "i", "j", "value"],
+              (chunk for prefix, block in blocks
+               for chunk in long_format_lines(block, prefix)))
 
 
 def load_pca_model(path) -> PcaModel:

@@ -9,6 +9,9 @@ by both routes would have to be introduced twice, independently.
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import scipy.linalg
 
@@ -220,3 +223,31 @@ def mantegna_reference(rng: np.random.Generator, beta: float, size: int) -> np.n
     u = rng.normal(0.0, sigma, size)
     v = rng.normal(0.0, 1.0, size)
     return u / np.abs(v) ** (1.0 / beta)
+
+
+def csv_artifact_text(comments, header, rows) -> str:
+    """An artifact as csv.writer renders it: `# comment` lines ending in \\n,
+    then the header and rows with floats as repr and everything else as str."""
+    buf = io.StringIO(newline="")
+    for comment in comments:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue()
+
+
+def kernel_rows(matrix):
+    """(i, j, value) for every entry of a 2-d matrix, row by row."""
+    return [(i, j, float(matrix[i, j]))
+            for i in range(matrix.shape[0]) for j in range(matrix.shape[1])]
+
+
+def pca_model_rows(model):
+    """(kind, i, j, value) rows of a PCA model: mean, variances, components."""
+    rows = [("mean", 0, j, float(v)) for j, v in enumerate(model.mean)]
+    rows += [("variance", i, 0, float(v)) for i, v in enumerate(model.explained_variance)]
+    rows += [("component", i, j, float(v))
+             for i, row in enumerate(model.components) for j, v in enumerate(row)]
+    return rows

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkgene import data_io
 from qkgene.data_io import (
     LabeledDataset,
     PhaseScaler,
@@ -79,6 +80,105 @@ class TestLoadCsv:
         ds = load_csv(path, "label", positive_label="tumor")
         assert ds.features.shape == (62, 2000)
         assert ds.class_counts() == {1: 40, -1: 22}
+
+
+def parse_outcome(parse, *args):
+    """A parser's result with arrays as bytes, or its DataError message."""
+    try:
+        result = parse(*args)
+    except DataError as exc:
+        return ("error", str(exc))
+    if result is None:
+        return None
+    names, features, labels = result
+    features = np.asarray(features, dtype=np.float64)
+    return names, features.shape, features.tobytes(), labels
+
+
+# cells both routes accept, spelled in every way float() allows on plain text
+PLAIN_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["+1.5", " 2.5 ", "-inf", "1e400", "5e-324", ".5", "5.", "007"]),
+)
+# cells that take the per-cell route or that it rejects: forms only float()
+# accepts, control characters, quotes, stray separators, malformed numbers
+ODD_CELLS = st.one_of(
+    st.sampled_from(["\t3", "1_000", "\u0661\u0662", "\u20031.5", "\x1c2", "1e", "",
+                     " ", "abc", '"4.5"', '"1,5"', "0x10", "1__0", "\x0c7"]),
+    st.text(alphabet="0123456789.eE+-_ ,\"\t\r\n\x1c\u0661nai", max_size=6),
+)
+LABELS = st.sampled_from(["a", "b", " a", "b ", '"a"', "a,b", ""])
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(2, 5))
+    label_idx = draw(st.integers(0, width - 1))
+    header = [f"g{i}" for i in range(width)]
+    header[label_idx] = "label"
+    lines = [",".join(header)]
+    odd = draw(st.booleans())
+    cells_st = st.one_of(PLAIN_CELLS, ODD_CELLS) if odd else PLAIN_CELLS
+    blank_st = st.sampled_from(["", " "] if odd else [""])
+    for _ in range(draw(st.integers(1, 5))):
+        cells = [draw(cells_st) for _ in range(width)]
+        cells[label_idx] = draw(LABELS if odd else st.sampled_from(["a", "b", " b "]))
+        if odd:
+            cells += draw(st.lists(cells_st, max_size=1))  # an extra trailing field
+        lines.append(",".join(cells))
+        lines += draw(st.lists(blank_st, max_size=1))  # blank lines
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    label_column = draw(st.sampled_from(["label", label_idx, label_idx - width]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending])), label_column
+
+
+class TestPlainParser:
+    """The np.loadtxt route must agree with the csv.reader + float() route
+    on every file it accepts, and leave every other file to that route."""
+
+    @given(case=csv_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_per_cell_route(self, tmp_path_factory, case):
+        text, label_column = case
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        with open(path, newline="") as fh:
+            read_back = fh.read()
+        plain = parse_outcome(data_io._parse_plain, read_back, label_column)
+        if plain is not None:
+            assert plain == parse_outcome(data_io._parse_cells, path, label_column)
+
+    @pytest.mark.parametrize("text, label_column", [
+        ("g1,label,g2\n1.0,a,2.0\n3.0,b,4.0\n", "label"),
+        ("label,g1\na,1e5\nb,-0.0\n", 0),
+        ("g1,g2,label\n\n1,2,a\n\n3,4,b\n", -1),
+        ("g1,label\n 1.5 ,a\n+2,b\n", "label"),
+    ])
+    def test_plain_files_take_the_fast_route(self, tmp_path, text, label_column):
+        path = write_csv(tmp_path, text)
+        plain = parse_outcome(data_io._parse_plain, text, label_column)
+        assert plain is not None
+        assert plain == parse_outcome(data_io._parse_cells, path, label_column)
+
+    @pytest.mark.parametrize("text", [
+        "g1,label\n1_000,a\n2,b\n",         # float() accepts, loadtxt does not
+        'g1,label\n"1.5",a\n2,b\n',         # quoted cell
+        "g1,label\r\n1.5,a\r\n2,b\r\n",  # CRLF line ends
+        "g1,label\n\x1c1.5,a\n2,b\n",      # loadtxt strips \x1c, float() does not
+        "g1,label\n1.5,a,9\n2,b\n",         # extra trailing field
+    ])
+    def test_other_files_take_the_per_cell_route(self, text):
+        assert data_io._parse_plain(text, "label") is None
+
+    def test_errors_name_line_and_column(self, tmp_path):
+        path = write_csv(tmp_path, "g1,label\n1.0,a\n2.0,b\nx,a\n")
+        with pytest.raises(DataError, match=r"data.csv:4: non-numeric value 'x' in column 'g1'"):
+            load_csv(path, "label", positive_label="a")
+        path = write_csv(tmp_path, "g1,label\n1.0,a\n2.0,b,7\n", name="wide.csv")
+        with pytest.raises(DataError, match=r"wide.csv:3: expected 2 fields, got 3"):
+            load_csv(path, "label", positive_label="a")
 
 
 class TestDatasetValidation:
