@@ -100,6 +100,9 @@ def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not {exc.encoding} text: byte {exc.object[exc.start]:#04x} "
+                        f"at offset {exc.start}") from None
     parsed = _parse_plain(text, label_column)
     if parsed is None:
         parsed = _parse_cells(path, label_column)
@@ -179,9 +182,12 @@ def _parse_cells(path, label_column):
     """(gene names, feature rows, raw labels) through csv.reader and float()."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     rows = [r for r in rows if r]
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")

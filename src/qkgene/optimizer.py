@@ -113,19 +113,25 @@ def escaping_energy(t: int, max_iters: int, rng: np.random.Generator) -> EnergyS
     return EnergyState(e0=e0, e=2.0 * e0 * (1.0 - t / max_iters), iteration=t)
 
 
-def levy_step(dim: int, rng: np.random.Generator, beta: float = 1.5) -> np.ndarray:
-    """Mantegna heavy-tailed step, scaled by 0.01 as in reference hawks."""
-    sigma = (
-        math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0)
-        / (math.gamma((1.0 + beta) / 2.0) * beta * 2.0 ** ((beta - 1.0) / 2.0))
-    ) ** (1.0 / beta)
-    u = rng.normal(0.0, sigma, dim)
+LEVY_BETA = 1.5
+# Mantegna's scale for u ~ N(0, sigma^2), so that u / |v|^(1/beta) is beta-stable
+_LEVY_SIGMA = (
+    math.gamma(1.0 + LEVY_BETA) * math.sin(math.pi * LEVY_BETA / 2.0)
+    / (math.gamma((1.0 + LEVY_BETA) / 2.0) * LEVY_BETA * 2.0 ** ((LEVY_BETA - 1.0) / 2.0))
+) ** (1.0 / LEVY_BETA)
+
+
+def levy_step(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Mantegna heavy-tailed step with index LEVY_BETA, scaled by 0.01 as in
+    reference hawks."""
+    u = rng.normal(0.0, _LEVY_SIGMA, dim)
     v = rng.normal(0.0, 1.0, dim)
-    return 0.01 * u / np.abs(v) ** (1.0 / beta)
+    return 0.01 * u / np.abs(v) ** (1.0 / LEVY_BETA)
 
 
 def _clip(position: np.ndarray, params: HhoParams) -> np.ndarray:
-    return np.clip(position, params.lower_bound, params.upper_bound)
+    # equal to np.clip for non-NaN input, without its per-call dispatch
+    return np.minimum(np.maximum(position, params.lower_bound), params.upper_bound)
 
 
 def exploration_step(position: np.ndarray, positions: np.ndarray,
@@ -184,13 +190,11 @@ def exploitation_step(position: np.ndarray, current_fitness: float,
 def transfer_probability(delta, kind: str = "s") -> np.ndarray:
     delta = np.asarray(delta, dtype=np.float64)
     if kind == "s":
-        # numerically stable logistic, exact at 0.5 for delta = 0
-        out = np.empty_like(delta)
+        # numerically stable logistic, exact at 0.5 for delta = 0: exp never
+        # sees a positive argument; a NaN reaches exp unchanged
         pos = delta >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-delta[pos]))
-        ez = np.exp(delta[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        ez = np.exp(np.where(pos, -delta, delta))
+        return np.where(pos, 1.0, ez) / (1.0 + ez)
     if kind == "v":
         return np.abs(np.tanh(delta))
     raise ConfigError(f"transfer kind must be one of {TRANSFER_KINDS}, got {kind!r}")
@@ -207,19 +211,6 @@ def binarize(position: np.ndarray, current_bits: np.ndarray, kind: str,
     return np.where(draws < prob, 1 - current_bits, current_bits).astype(np.int8)
 
 
-def knn_predict(train_features: np.ndarray, train_labels: np.ndarray,
-                test_features: np.ndarray, k: int) -> np.ndarray:
-    d2 = (
-        np.sum(test_features**2, axis=1)[:, None]
-        + np.sum(train_features**2, axis=1)[None, :]
-        - 2.0 * (test_features @ train_features.T)
-    )
-    k = min(k, len(train_features))
-    neighbours = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    votes = train_labels[neighbours].sum(axis=1)
-    return np.where(votes >= 0, 1, -1).astype(np.int64)
-
-
 def make_fitness(train: LabeledDataset, config: FitnessConfig) -> Callable[[np.ndarray], float]:
     """Closure scoring bit masks; the validation split is drawn once."""
     if config.evaluator != "knn":
@@ -229,16 +220,28 @@ def make_fitness(train: LabeledDataset, config: FitnessConfig) -> Callable[[np.n
     )
     fit_x, fit_y = train.features[fit_idx], train.labels[fit_idx]
     val_x, val_y = train.features[val_idx], train.labels[val_idx]
+    # A mask enters as 0/1 weights: sum_g w_g (v_g - f_g)^2 over all genes is
+    # the squared distance over the selected ones, with no column gather.
+    fit_sq, val_sq = fit_x**2, val_x**2
+    fit_xt = np.ascontiguousarray(fit_x.T)
+    val_positive = val_y > 0
+    k = min(config.knn_k, len(fit_x))
     dim = train.n_genes
 
     def score(bits: np.ndarray) -> float:
-        bits = np.asarray(bits)
-        count = int(bits.sum())
+        """alpha * k-NN validation error + (1 - alpha) * selected fraction.
+
+        Neighbours are ordered by a stable argsort of the squared distances,
+        so equal distances keep fit-row order; a tied vote predicts +1.
+        """
+        weights = np.asarray(bits, dtype=np.float64)
+        count = int(weights.sum())
         if count == 0:
             return math.inf
-        cols = np.flatnonzero(bits)
-        predicted = knn_predict(fit_x[:, cols], fit_y, val_x[:, cols], config.knn_k)
-        error = float(np.mean(predicted != val_y))
+        d2 = ((val_sq @ weights)[:, None] + (fit_sq @ weights)[None, :]
+              - 2.0 * ((val_x * weights) @ fit_xt))
+        votes = fit_y[np.argsort(d2, axis=1, kind="stable")[:, :k]].sum(axis=1)
+        error = int(np.count_nonzero((votes >= 0) != val_positive)) / len(val_y)
         return config.alpha * error + (1.0 - config.alpha) * count / dim
 
     return score
@@ -265,19 +268,20 @@ def run_bhho(train: LabeledDataset, params: HhoParams, fitness_config: FitnessCo
     score = make_fitness(train, fitness_config)
     rng = np.random.default_rng(params.seed)
 
-    positions = init_population(params, rng)
     zero = np.zeros(params.dimension, dtype=np.int8)
     hawks = []
-    for position in positions:
+    for position in init_population(params, rng):
         bits = binarize(position, zero, transfer, rng)
-        hawks.append(Hawk(position=position.copy(), bits=bits, fitness=score(bits)))
+        hawks.append(Hawk(position=position, bits=bits, fitness=score(bits)))
 
+    # A move hands a hawk new arrays and never writes into its old ones, so
+    # the rabbit can share the arrays of the hawk it was taken from.
     rabbit = None
     convergence = np.empty(params.max_iters)
     for t in range(params.max_iters):
         for hawk in hawks:
             if rabbit is None or hawk.fitness < rabbit.fitness:
-                rabbit = Hawk(hawk.position.copy(), hawk.bits.copy(), hawk.fitness)
+                rabbit = Hawk(hawk.position, hawk.bits, hawk.fitness)
         convergence[t] = rabbit.fitness
         if history is not None:
             history.append((rabbit.fitness, int(rabbit.bits.sum())))

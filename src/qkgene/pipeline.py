@@ -102,8 +102,10 @@ class PipelineConfig:
             raise ConfigError("svm.tol must be positive")
         if self.svm_max_passes < 0:
             raise ConfigError("svm.max_passes must be non-negative")
-        if self.hho_hawks < 1 or self.hho_iters < 1:
-            raise ConfigError("hho.n and hho.t must be at least 1")
+        if self.hho_hawks < 2:
+            raise ConfigError("hho.n must be at least 2")
+        if self.hho_iters < 1:
+            raise ConfigError("hho.t must be at least 1")
         if not self.hho_upper > self.hho_lower:
             raise ConfigError("hho.upper must exceed hho.lower")
         if not 0.0 <= self.fit_alpha <= 1.0:

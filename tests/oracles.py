@@ -15,6 +15,8 @@ import io
 import numpy as np
 import scipy.linalg
 
+from qkgene.data_io import SplitSpec, split_indices
+
 RSQRT2 = 1.0 / np.sqrt(2.0)
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -223,6 +225,49 @@ def mantegna_reference(rng: np.random.Generator, beta: float, size: int) -> np.n
     u = rng.normal(0.0, sigma, size)
     v = rng.normal(0.0, 1.0, size)
     return u / np.abs(v) ** (1.0 / beta)
+
+
+def logistic_two_branch(delta) -> np.ndarray:
+    """Stable logistic by masked gather and scatter: 1 / (1 + exp(-x)) where
+    x >= 0, exp(x) / (1 + exp(x)) elsewhere, NaN included."""
+    delta = np.asarray(delta, dtype=np.float64)
+    out = np.empty_like(delta)
+    pos = delta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-delta[pos]))
+    ez = np.exp(delta[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def knn_predict(train_features: np.ndarray, train_labels: np.ndarray,
+                test_features: np.ndarray, k: int) -> np.ndarray:
+    """k-NN sign vote on the given columns; equal distances keep training-row
+    order (stable sort) and a tied vote predicts +1."""
+    d2 = (
+        np.sum(test_features**2, axis=1)[:, None]
+        + np.sum(train_features**2, axis=1)[None, :]
+        - 2.0 * (test_features @ train_features.T)
+    )
+    k = min(k, len(train_features))
+    neighbours = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    votes = train_labels[neighbours].sum(axis=1)
+    return np.where(votes >= 0, 1, -1).astype(np.int64)
+
+
+def gather_fitness(train, config, bits) -> float:
+    """The wrapper objective with k-NN run on the gathered selected columns,
+    on the validation split the library draws for `config`."""
+    bits = np.asarray(bits)
+    count = int(bits.sum())
+    if count == 0:
+        return float("inf")
+    fit_idx, val_idx = split_indices(
+        train.labels, SplitSpec(test_fraction=config.val_fraction, seed=config.seed))
+    cols = np.flatnonzero(bits)
+    predicted = knn_predict(train.features[fit_idx][:, cols], train.labels[fit_idx],
+                            train.features[val_idx][:, cols], config.knn_k)
+    error = float(np.mean(predicted != train.labels[val_idx]))
+    return config.alpha * error + (1.0 - config.alpha) * count / train.n_genes
 
 
 def csv_artifact_text(comments, header, rows) -> str:

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qkgene import optimizer
 from qkgene.data_io import LabeledDataset
 from qkgene.errors import ConfigError, DataError
 from qkgene.optimizer import (
@@ -16,7 +18,6 @@ from qkgene.optimizer import (
     exploitation_step,
     exploration_step,
     init_population,
-    knn_predict,
     levy_step,
     make_fitness,
     mean_position,
@@ -25,7 +26,13 @@ from qkgene.optimizer import (
 )
 from qkgene.synth import planted_dataset
 
-from oracles import hill_tail_exponent, mantegna_reference
+from oracles import (
+    gather_fitness,
+    hill_tail_exponent,
+    knn_predict,
+    logistic_two_branch,
+    mantegna_reference,
+)
 
 
 class ScriptedRng:
@@ -266,6 +273,23 @@ class TestTransfer:
         with pytest.raises(ConfigError):
             transfer_probability(0.0, "w")
 
+    @given(x=st.floats(allow_nan=True, allow_infinity=True))
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=40.0)
+    @example(x=-40.0)
+    @example(x=1e308)
+    @example(x=-1e308)
+    @example(x=math.nan)
+    @example(x=-math.nan)
+    @settings(max_examples=300, deadline=None)
+    def test_s_rule_matches_two_branch_oracle_bitwise(self, x):
+        values = np.array([x, -x, 0.5 * x])
+        assert (transfer_probability(values, "s").tobytes()
+                == logistic_two_branch(values).tobytes())
+        assert (transfer_probability(x, "s").tobytes()
+                == logistic_two_branch(x).tobytes())
+
     def test_s_rule_saturation_gives_all_ones(self):
         position = np.full(5, 80.0)
         bits = binarize(position, np.zeros(5, dtype=np.int8), "s",
@@ -305,6 +329,9 @@ class TestFeatureMask:
 
 
 class TestKnnPredict:
+    """The gather-based reference k-NN that the fitness closure is checked
+    against in TestFitnessMatchesGatherOracle."""
+
     def test_nearest_neighbour_vote(self):
         train = np.array([[0.0], [0.1], [5.0], [5.1], [5.2]])
         labels = np.array([1, 1, -1, -1, -1])
@@ -357,6 +384,39 @@ class TestFitness:
     def test_alpha_bounds_validated(self):
         with pytest.raises(ConfigError):
             FitnessConfig(alpha=1.5)
+
+
+class TestFitnessMatchesGatherOracle:
+    """The closure's masked-matmul distances against k-NN on gathered columns."""
+
+    @pytest.mark.parametrize("knn_k", [1, 2, 4, 5])
+    def test_integer_features_with_ties(self, knn_k):
+        # small integers: every distance is exact on both routes, and equal
+        # distances and (for even k) tied votes are common
+        rng = np.random.default_rng(knn_k)
+        labels = np.array([1, -1] * 20)
+        features = rng.integers(-3, 4, size=(40, 12)).astype(np.float64)
+        features[:, 0] += labels
+        ds = LabeledDataset(features, labels)
+        config = FitnessConfig(alpha=0.9, knn_k=knn_k, seed=knn_k)
+        score = make_fitness(ds, config)
+        for _ in range(60):
+            bits = (rng.random(12) < rng.random()).astype(np.int8)
+            value = score(bits)
+            assert type(value) is float  # artifacts render it with repr
+            assert value == gather_fitness(ds, config, bits)
+
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.1, 0.5, 0.9, 1.0])
+    def test_gaussian_features_across_densities(self, density):
+        ds = planted_dataset(62, 300, 6, shift=1.0, seed=41, positive_fraction=0.645)
+        config = FitnessConfig(seed=2)
+        score = make_fitness(ds, config)
+        rng = np.random.default_rng(int(density * 100))
+        for _ in range(20):
+            bits = (rng.random(300) < density).astype(np.int8)
+            if not bits.any():
+                bits[rng.integers(300)] = 1  # density 0: a single gene
+            assert score(bits) == gather_fitness(ds, config, bits)
 
 
 class TestRunBhho:
@@ -426,3 +486,49 @@ class TestRunBhho:
                                     FitnessConfig(seed=seed, val_fraction=0.3))
             found = sum(1 for g in informative if mask.bits[g])
             assert found >= 2
+
+
+class TestTrajectoryGolden:
+    """sha256 of whole searches, recorded from the gather-based k-NN fitness.
+
+    `final` hashes the returned mask bits and the convergence curve, `scored`
+    every mask the closure scored with its score, in call order. A change to
+    any RNG draw, move, transfer rule or fitness value moves them. At
+    alpha = 1 the score is the validation error alone, so hawks tie often and
+    the rabbit's first-of-the-fittest rule is pinned too.
+    """
+
+    GOLDEN = {
+        ("s", 0.99): ("d84d8b08de8404d9b8b69d6fc4554434e9395f576c35f42643c71c1f6fc43bd6",
+                      "ed7d2bb4d3ec8cf14159287b88230a2156ef586f097d03c271a6a3b27bff2d99"),
+        ("v", 0.99): ("7b23c3e4312f5e001fcbf26d01c6131d76b73cb93e5d891731997025efd6cf4a",
+                      "5f58a28a07bf14e58fae4b80e2de13c3606196769f838dafc4ca375adb083946"),
+        ("s", 1.0): ("ad4afc3c95b5591ff4a6bf0c44aa3c4dfb7fa24a18a04b914ddaab89616fc94e",
+                     "cd2518b4b28f7f15db10a9e862e1f2185018dd902e4b3942b3523a839ca7d489"),
+        ("v", 1.0): ("955a5677548c0aacf15c1cb184ba3b425f4fa22b8f7512b1daaf268a8cbf916b",
+                     "ce1ec3ee7fe9251e2e9c03871be03e725eb88b9cbb20d5a9aa45c29799a994e0"),
+    }
+
+    @pytest.mark.parametrize("transfer, alpha", sorted(GOLDEN))
+    def test_trajectory_is_pinned(self, transfer, alpha, monkeypatch):
+        ds = planted_dataset(62, 120, 6, shift=1.2, seed=31, positive_fraction=0.645)
+        params = HhoParams(n_hawks=8, max_iters=25, dimension=120, seed=17)
+        scored = hashlib.sha256()
+        build = optimizer.make_fitness
+
+        def recording_make_fitness(*args, **kwargs):
+            score = build(*args, **kwargs)
+
+            def recorded(bits):
+                value = score(bits)
+                scored.update(np.asarray(bits, dtype=np.int8).tobytes())
+                scored.update(np.float64(value).tobytes())
+                return value
+
+            return recorded
+
+        monkeypatch.setattr(optimizer, "make_fitness", recording_make_fitness)
+        mask, convergence = run_bhho(ds, params, FitnessConfig(alpha=alpha, seed=5),
+                                     transfer=transfer)
+        final = hashlib.sha256(mask.bits.tobytes() + convergence.tobytes()).hexdigest()
+        assert (final, scored.hexdigest()) == self.GOLDEN[transfer, alpha]

@@ -102,6 +102,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             PipelineConfig(psd_clip="maybe")
 
+    def test_one_hawk_rejected_by_its_key(self, capsys):
+        with pytest.raises(ConfigError, match=r"^hho\.n must be at least 2$"):
+            parse_config({"hho.n": "1"})
+        PipelineConfig(hho_hawks=2)
+        code = cli.main(["select", "--data", "unused.csv", "--set", "hho.n=1"])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: hho.n must be at least 2\n"
+
 
 class TestHashAndSeeds:
     def test_hash_is_stable_and_sensitive(self):
@@ -352,6 +360,21 @@ class TestCli:
         code = self.run_cli("run-all", "--data", str(tmp_path / "missing.csv"))
         assert code == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, reason", [
+        ("g1,label\n1.0,caf\xe9\n2.0,bar\n3.0,caf\xe9\n", "byte 0xe9 at offset 16"),
+        ('g1,label\n1.0,a\n"' + "9" * 140_000 + '",b\n', ":3: field larger than field limit"),
+    ], ids=["latin-1", "oversized-field"])
+    def test_unreadable_csv_is_a_data_error(self, tmp_path, capsys, body, reason):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(body.encode("latin-1"))
+        code = self.run_cli("run-all", "--data", str(csv_path),
+                            "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: {csv_path}")
+        assert reason in err
+        assert err.count("\n") == 1
 
     def test_exit_code_numerical_error(self, tmp_path, capsys):
         lines = ["g0,g1,label"]
