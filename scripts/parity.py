@@ -11,6 +11,16 @@ The JSON on stdout is keyed workload -> seed: two commits produce
 byte-identical artifacts exactly when `diff` finds no difference between
 their outputs. Like the benchmark, the script pins BLAS and OpenMP to one
 thread.
+
+    python3 scripts/parity.py --check kernel_exact colon_select
+
+With --check the script instead compares each seed's artifacts with the
+stored reference, perfbench/reference/<workload>.json, through perfbench's
+check.py (artifact set, config_hash stamps, exact counts and mask, kernels
+and AUC within their tolerances). It reads the references and changes
+nothing, prints one line per failing seed and a pass count per workload,
+and exits 1 if any seed fails. Use it when outputs may move within
+tolerance, so that equal hashes cannot show a change correct.
 """
 import argparse
 import contextlib
@@ -26,7 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def seed_hashes(workload, seed: int, work: Path) -> dict:
+def run_seed(workload, seed: int, work: Path) -> tuple[int, Path]:
+    """Exit code of `run-all` on the seed's input, and its out dir."""
     from qkgene import cli
     from workloads import write_input_csv
 
@@ -36,6 +47,11 @@ def seed_hashes(workload, seed: int, work: Path) -> dict:
     write_input_csv(workload, seed, str(data))
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(workload.cli_args(str(data), str(out), seed))
+    return code, out
+
+
+def seed_hashes(workload, seed: int, work: Path) -> dict:
+    code, out = run_seed(workload, seed, work)
     files = {}
     if out.is_dir():
         for path in sorted(out.iterdir()):
@@ -43,11 +59,43 @@ def seed_hashes(workload, seed: int, work: Path) -> dict:
     return {"exit": code, "files": files}
 
 
+def seed_problems(workload, seed: int, work: Path, reference: dict) -> list[str]:
+    from check import header_problems, problems, summarize
+
+    code, out = run_seed(workload, seed, work)
+    if code != 0:
+        return [f"run-all exited with {code}"]
+    if str(seed) not in reference:
+        return ["no stored reference"]
+    return (header_problems(str(out), workload.selection)
+            or problems(summarize(str(out), workload.selection), reference[str(seed)]))
+
+
+def check(names, work: Path) -> int:
+    from workloads import POOL_SIZE, WORKLOADS
+
+    failed = 0
+    for name in names:
+        with open(ROOT / "perfbench" / "reference" / f"{name}.json") as fh:
+            reference = json.load(fh)["seeds"]
+        passed = 0
+        for seed in range(POOL_SIZE):
+            found = seed_problems(WORKLOADS[name], seed, work, reference)
+            for problem in found:
+                print(f"{name} seed {seed}: {problem}")
+            passed += not found
+        print(f"{name}: {passed}/{POOL_SIZE} seeds match the reference")
+        failed += POOL_SIZE - passed
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="+", metavar="WORKLOAD")
     parser.add_argument("--work", default=os.path.join(tempfile.gettempdir(), "qkgene-parity"),
                         help="directory holding the fixed input and out paths")
+    parser.add_argument("--check", action="store_true",
+                        help="check every seed against perfbench/reference instead of hashing")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -62,6 +110,8 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload(s) {unknown}; choose from {sorted(WORKLOADS)}")
     work = Path(args.work)
     work.mkdir(parents=True, exist_ok=True)
+    if args.check:
+        return check(args.workloads, work)
     result = {
         name: {str(seed): seed_hashes(WORKLOADS[name], seed, work) for seed in range(POOL_SIZE)}
         for name in args.workloads

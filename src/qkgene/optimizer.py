@@ -247,11 +247,6 @@ def make_fitness(train: LabeledDataset, config: FitnessConfig) -> Callable[[np.n
     return score
 
 
-def fitness(mask, train: LabeledDataset, config: FitnessConfig) -> float:
-    bits = mask.bits if isinstance(mask, FeatureMask) else np.asarray(mask)
-    return make_fitness(train, config)(bits)
-
-
 def run_bhho(train: LabeledDataset, params: HhoParams, fitness_config: FitnessConfig,
              transfer: str = "s",
              history: list | None = None) -> tuple[FeatureMask, np.ndarray]:

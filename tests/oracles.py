@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from qkgene.data_io import SplitSpec, split_indices
+from qkgene.quantum import _apply_inplace, build_feature_map, zero_state
 
 RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -111,6 +112,27 @@ def dense_circuit_unitary(gates, n_qubits: int) -> np.ndarray:
     for gate in gates:
         full = dense_gate_unitary(gate, n_qubits) @ full
     return full
+
+
+def run_circuit_gatewise(gates, n_qubits: int):
+    """The simulator without gate fusion: each gate applied on its own by the
+    library's strided update, which tests check gate by gate against the
+    dense unitaries above."""
+    state = zero_state(n_qubits)
+    for gate in gates:
+        _apply_inplace(state.amplitudes, n_qubits, gate)
+    return state
+
+
+def gatewise_kernel(left, right, spec) -> np.ndarray:
+    """K[i, j] = |<phi(right[j])|phi(left[i])>|^2 from gate-by-gate states,
+    one overlap at a time."""
+    def states(rows):
+        return [run_circuit_gatewise(build_feature_map(spec, x), spec.n_qubits).amplitudes
+                for x in rows]
+
+    right_states = states(right)
+    return np.array([[abs(np.vdot(z, x)) ** 2 for z in right_states] for x in states(left)])
 
 
 def project_box_hyperplane(v: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:

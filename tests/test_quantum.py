@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkgene import quantum
 from qkgene.errors import ConfigError
 from qkgene.quantum import (
     MAX_QUBITS,
@@ -25,7 +27,14 @@ from qkgene.quantum import (
 )
 from qkgene.reduction import symmetric_eigendecomposition
 
-from oracles import dense_circuit_unitary, dense_gate_unitary, dense_h, dense_phase
+from oracles import (
+    dense_circuit_unitary,
+    dense_gate_unitary,
+    dense_h,
+    dense_phase,
+    gatewise_kernel,
+    run_circuit_gatewise,
+)
 
 RSQRT2 = 2 ** -0.5
 
@@ -44,6 +53,90 @@ def random_gate(rng, n_qubits):
     if kind == "cx":
         return Gate.cx(int(a), int(b))
     return Gate.ryy(int(a), int(b), angle)
+
+
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+# patterns run_circuit fuses, their near misses, and the blocks each needs a
+# register of at least 1, 2 or 3 qubits for
+FUSION_BLOCKS = (
+    ("gate", "layer", "shuffled_layer", "partial_layer", "split_layer", "sampled_circuit"),
+    ("sandwich", "rz_on_control", "reversed_cx", "repeated_qubit_layer"),
+    ("other_rz_qubit", "other_second_cx"),
+)
+
+
+@st.composite
+def fusion_circuits(draw):
+    """(gates, n_qubits): random gates mixed with fusable patterns and near
+    misses on 1-7 qubits."""
+    n = draw(st.integers(1, 7))
+    blocks = sum(FUSION_BLOCKS[:n], ())
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        block = draw(st.sampled_from(blocks))
+        order = draw(st.permutations(range(n)))
+        a, b, c = (order + [None, None])[:3]
+        phi = draw(ANGLES)
+        if block == "gate":
+            kind = draw(st.sampled_from(("h", "phase", "rz", "cx", "ryy")[:3 if n == 1 else 5]))
+            gates.append(Gate(kind, (a,) if kind in ("h", "phase", "rz") else (a, b),
+                              0.0 if kind in ("h", "cx") else phi))
+        elif block == "sandwich":
+            gates += [Gate.cx(a, b), Gate.rz(b, phi), Gate.cx(a, b)]
+        elif block == "rz_on_control":
+            gates += [Gate.cx(a, b), Gate.rz(a, phi), Gate.cx(a, b)]
+        elif block == "reversed_cx":
+            gates += [Gate.cx(a, b), Gate.rz(b, phi), Gate.cx(b, a)]
+        elif block == "other_rz_qubit":
+            gates += [Gate.cx(a, b), Gate.rz(c, phi), Gate.cx(a, b)]
+        elif block == "other_second_cx":
+            gates += [Gate.cx(a, b), Gate.rz(b, phi), Gate.cx(c, b)]
+        elif block == "layer":
+            gates += [Gate.h(q) for q in range(n)]
+        elif block == "shuffled_layer":
+            gates += [Gate.h(q) for q in order]
+        elif block == "partial_layer":
+            gates += [Gate.h(q) for q in order[:draw(st.integers(0, n - 1))]]
+        elif block == "split_layer":
+            cut = draw(st.integers(1, n))
+            gates += [Gate.h(q) for q in order[:cut]] + [Gate.phase(a, phi)]
+            gates += [Gate.h(q) for q in order[cut:]]
+        elif block == "repeated_qubit_layer":
+            gates += [Gate.h(q) for q in order[:-1] + [a]]
+        else:  # sampled_circuit: what sampled mode runs for one kernel entry
+            kind = draw(st.sampled_from(("z", "zz", "pauli_zyy")[:1 if n == 1 else 3]))
+            spec = FeatureMapSpec(n, kind, reps=draw(st.integers(1, 2)))
+            x, z = (draw(st.lists(ANGLES, min_size=n, max_size=n)) for _ in range(2))
+            gates += build_feature_map(spec, x) + inverse_circuit(build_feature_map(spec, z))
+    return gates, n
+
+
+class TestGateFusion:
+    @given(fusion_circuits())
+    @settings(max_examples=300, deadline=None)
+    def test_fused_matches_gatewise(self, circuit):
+        gates, n = circuit
+        expect = run_circuit_gatewise(gates, n).amplitudes
+        np.testing.assert_allclose(run_circuit(gates, n).amplitudes, expect,
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["z", "zz", "pauli_zyy"])
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])  # 12: three H blocks
+    def test_kernels_match_gatewise(self, kind, n):
+        rng = np.random.default_rng(n)
+        spec = FeatureMapSpec(n, kind, reps=2)
+        train = rng.uniform(0, math.pi, size=(4, n))
+        test = rng.uniform(0, math.pi, size=(3, n))
+        np.testing.assert_allclose(kernel_matrix(train, spec).values,
+                                   gatewise_kernel(train, train, spec), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(cross_kernel_matrix(test, train, spec),
+                                   gatewise_kernel(test, train, spec), rtol=0.0, atol=1e-12)
+
+    def test_diagonal_gate_bounds_checked(self):
+        for run in ([Gate.phase(2, 0.3)], [Gate.rz(1, 0.2), Gate.rz(5, 0.3)],
+                    [Gate.cx(0, 2), Gate.rz(2, 0.3), Gate.cx(0, 2)]):
+            with pytest.raises(ConfigError, match="exceeds register size 2"):
+                run_circuit([Gate.h(0), Gate.h(1)] + run, 2)
 
 
 class TestGateValidation:
@@ -305,6 +398,29 @@ class TestKernelMatrices:
                 assert cross[i, j] == pytest.approx(
                     exact_kernel_entry(left[i], right[j], spec), abs=1e-12
                 )
+
+    def test_exact_kernels_run_one_circuit_per_row(self, monkeypatch):
+        """perfbench's trace self-check counts `quantum.run_circuit` calls and
+        expects 2·n_train + n_test of them, each the full feature-map gate list
+        of one row. ROADMAP item 1 is where that count may be redefined."""
+        calls = []
+        original = quantum.run_circuit
+
+        def counting(gates, n_qubits):
+            calls.append((tuple(gates), n_qubits))
+            return original(gates, n_qubits)
+
+        monkeypatch.setattr(quantum, "run_circuit", counting)
+        rng = np.random.default_rng(15)
+        spec = FeatureMapSpec(3, "zz", reps=2)
+        train = rng.uniform(0, math.pi, size=(5, 3))
+        test = rng.uniform(0, math.pi, size=(2, 3))
+        kernel_matrix(train, spec)
+        cross_kernel_matrix(test, train, spec)
+        assert len(calls) == 2 * len(train) + len(test)
+        expect = Counter((tuple(build_feature_map(spec, x)), 3)
+                         for x in [*train, *test, *train])
+        assert Counter(calls) == expect
 
     @given(seed=st.integers(0, 10_000), reps=st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
