@@ -2,11 +2,12 @@
 
     python3 scripts/parity.py colon_select kernel_exact --work /tmp/parity > parity.json
 
-For each named workload in perfbench/workloads.py and each of its POOL_SIZE
-data seeds, the script writes that seed's input CSV to <work>/input.csv,
-runs `run-all` in-process into a fresh <work>/out and records the exit code
-and the sha256 of every artifact. The config hash written into every
-artifact includes both paths, so run both commits with the same --work.
+For each named workload in perfbench/workloads.py (all of them when none is
+named) and each of its POOL_SIZE data seeds, the script writes that seed's
+input CSV to <work>/input.csv, runs `run-all` in-process into a fresh
+<work>/out and records the exit code and the sha256 of every artifact.
+The config hash written into every artifact includes both paths, so run
+both commits with the same --work.
 The JSON on stdout is keyed workload -> seed: two commits produce
 byte-identical artifacts exactly when `diff` finds no difference between
 their outputs. Like the benchmark, the script pins BLAS and OpenMP to one
@@ -91,7 +92,8 @@ def check(names, work: Path) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workloads", nargs="+", metavar="WORKLOAD")
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
+                        help="workloads to run (default: all of them)")
     parser.add_argument("--work", default=os.path.join(tempfile.gettempdir(), "qkgene-parity"),
                         help="directory holding the fixed input and out paths")
     parser.add_argument("--check", action="store_true",
@@ -105,6 +107,7 @@ def main(argv=None) -> int:
     for var in THREAD_VARS:
         os.environ[var] = "1"  # read when numpy's BLAS loads, on the first qkgene import
 
+    args.workloads = args.workloads or list(WORKLOADS)
     unknown = [name for name in args.workloads if name not in WORKLOADS]
     if unknown:
         parser.error(f"unknown workload(s) {unknown}; choose from {sorted(WORKLOADS)}")

@@ -14,11 +14,16 @@ register and are applied as two broadcast multiplies of the state. Every
 other gate is applied on its own. A circuit peaks at under three states:
 its own plus an H layer's product, the norm check or a lone gate's blocks.
 
+A feature map's gate list repeats one repetition reps times. Its angle-free
+gates (H and CX) are built once per register size and shared by every row;
+the gates with angles are built once per row and shared by its repetitions.
+
 Kernel values are state fidelities K(x, z) = |<phi(z)|phi(x)>|^2, either
 from cached statevectors (exact) or by sampling the all-zeros outcome of
 the compute-uncompute circuit with a finite shot budget (sampled). An
 exact kernel keeps every row's state, rows x 2^n x 16 bytes, and the
-overlap product conjugates a copy of one side's states.
+overlap product conjugates one block of one side's states at a time
+(about 4 MiB, at least 8 rows).
 """
 from __future__ import annotations
 
@@ -34,6 +39,8 @@ from .errors import ConfigError, NumericalError
 MAX_QUBITS = 24
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 _H_BLOCK = 5  # qubits per Sylvester product in an H layer (fastest of 5-8 at 12-20 qubits)
+_CONJ_BLOCK_BYTES = 4 << 20  # conjugated right-hand states per fidelity product
+_CONJ_BLOCK_ROWS = 8  # a multiple of the BLAS kernels' column unroll
 
 _ARITY = {"h": 1, "phase": 1, "rz": 1, "cx": 2, "ryy": 2}
 _PARAMETRIC = {"phase", "rz", "ryy"}
@@ -299,17 +306,6 @@ def inverse_circuit(gates) -> list[Gate]:
     return [g.inverse() for g in reversed(gates)]
 
 
-def data_map(x, subset) -> float:
-    """Phase coefficient: x_i for single qubits, (pi-x_i)(pi-x_j) for pairs."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(subset) == 1:
-        return float(x[subset[0]])
-    if len(subset) == 2:
-        i, j = subset
-        return float((math.pi - x[i]) * (math.pi - x[j]))
-    raise ConfigError("data_map supports only 1- and 2-qubit subsets")
-
-
 @dataclass(frozen=True)
 class FeatureMapSpec:
     n_qubits: int
@@ -330,30 +326,35 @@ class FeatureMapSpec:
             raise ConfigError("only linear entanglement is supported")
 
 
-def _linear_pairs(n_qubits: int) -> list[tuple[int, int]]:
-    return [(q, q + 1) for q in range(n_qubits - 1)]
+@functools.cache
+def _fixed_gates(n_qubits: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """The angle-free gates of an n-qubit map, built once per register size:
+    H on each qubit, and CX(q, q+1) for each linear pair."""
+    return (tuple(Gate.h(q) for q in range(n_qubits)),
+            tuple(Gate.cx(q, q + 1) for q in range(n_qubits - 1)))
 
 
 def build_feature_map(spec: FeatureMapSpec, x) -> list[Gate]:
     """Gate list embedding x: per repetition an H layer, single-qubit phases
     2*x_q, then the pairwise entangler (none for 'z', CX-RZ-CX for 'zz',
-    RYY for 'pauli_zyy') with angle 2*(pi-x_i)(pi-x_j) on each linear pair."""
+    RYY for 'pauli_zyy') with angle 2*(pi-x_q)(pi-x_{q+1}) on each linear pair.
+
+    Every repetition is the same gates, so one is built and the returned
+    list repeats its (frozen) objects; the H and CX gates are shared by all
+    rows of a register size. The list itself is new on every call."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.n_qubits,):
         raise ConfigError(f"expected {spec.n_qubits} features, got {x.shape}")
-    gates: list[Gate] = []
-    for _ in range(spec.reps):
-        gates.extend(Gate.h(q) for q in range(spec.n_qubits))
-        gates.extend(Gate.phase(q, 2.0 * data_map(x, (q,))) for q in range(spec.n_qubits))
-        for a, b in _linear_pairs(spec.n_qubits):
-            angle = 2.0 * data_map(x, (a, b))
-            if spec.kind == "zz":
-                gates.append(Gate.cx(a, b))
-                gates.append(Gate.rz(b, angle))
-                gates.append(Gate.cx(a, b))
-            elif spec.kind == "pauli_zyy":
-                gates.append(Gate.ryy(a, b, angle))
-    return gates
+    h_layer, cx_pairs = _fixed_gates(spec.n_qubits)
+    rep = list(h_layer)
+    rep += [Gate.phase(q, angle) for q, angle in enumerate((2.0 * x).tolist())]
+    pair_angles = (2.0 * ((math.pi - x[:-1]) * (math.pi - x[1:]))).tolist()
+    if spec.kind == "zz":
+        for cx, angle in zip(cx_pairs, pair_angles):
+            rep += (cx, Gate.rz(cx.qubits[1], angle), cx)
+    elif spec.kind == "pauli_zyy":
+        rep += [Gate.ryy(*cx.qubits, angle) for cx, angle in zip(cx_pairs, pair_angles)]
+    return rep * spec.reps
 
 
 def embedding_state(x, spec: FeatureMapSpec) -> Statevector:
@@ -403,8 +404,27 @@ def sampled_kernel_entry(x, z, spec: FeatureMapSpec, shot_config: ShotConfig,
 
 
 def _fidelity_from_states(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    overlap = left @ right.conj().T
-    return np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0)
+    """K[i, j] = |<right[j]|left[i]>|^2, clipped to [0, 1].
+
+    right is conjugated one block of rows at a time, so the product needs one
+    block, not a conjugated copy of every right-hand state. A block holds
+    _CONJ_BLOCK_BYTES worth of rows, rounded down to a multiple of
+    _CONJ_BLOCK_ROWS but never fewer, and a last block of one row joins the
+    one before it. BLAS computes the columns of a partial unroll group, and a
+    one-column product, with other kernels than a full group; these widths
+    put every column in the same kind of group as the single product
+    left @ right.conj().T does, so every entry is bit-equal to it.
+    """
+    K = np.empty((len(left), len(right)))
+    rows = _CONJ_BLOCK_BYTES // (right.shape[1] * right.itemsize)
+    step = max(_CONJ_BLOCK_ROWS, rows - rows % _CONJ_BLOCK_ROWS)
+    starts = list(range(0, len(right), step))
+    if len(starts) > 1 and len(right) - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [len(right)]):
+        overlap = left @ right[start:stop].conj().T
+        np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0, out=K[:, start:stop])
+    return K
 
 
 def kernel_matrix(X, spec: FeatureMapSpec, mode: str = "exact",

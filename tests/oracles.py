@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 import scipy.linalg
 
 from qkgene.data_io import SplitSpec, split_indices
-from qkgene.quantum import _apply_inplace, build_feature_map, zero_state
+from qkgene.errors import ConfigError
+from qkgene.quantum import Gate, _apply_inplace, zero_state
 
 RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -124,11 +126,44 @@ def run_circuit_gatewise(gates, n_qubits: int):
     return state
 
 
+def data_map(x, subset) -> float:
+    """Phase coefficient: x_i for single qubits, (pi-x_i)(pi-x_j) for pairs."""
+    x = np.asarray(x, dtype=np.float64)
+    if len(subset) == 1:
+        return float(x[subset[0]])
+    if len(subset) == 2:
+        i, j = subset
+        return float((math.pi - x[i]) * (math.pi - x[j]))
+    raise ConfigError("data_map supports only 1- and 2-qubit subsets")
+
+
+def build_feature_map_gatewise(spec, x) -> list:
+    """The feature map built one new Gate and one data_map call per gate,
+    repetition after repetition."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (spec.n_qubits,):
+        raise ConfigError(f"expected {spec.n_qubits} features, got {x.shape}")
+    gates = []
+    for _ in range(spec.reps):
+        gates.extend(Gate.h(q) for q in range(spec.n_qubits))
+        gates.extend(Gate.phase(q, 2.0 * data_map(x, (q,))) for q in range(spec.n_qubits))
+        for a, b in [(q, q + 1) for q in range(spec.n_qubits - 1)]:
+            angle = 2.0 * data_map(x, (a, b))
+            if spec.kind == "zz":
+                gates.append(Gate.cx(a, b))
+                gates.append(Gate.rz(b, angle))
+                gates.append(Gate.cx(a, b))
+            elif spec.kind == "pauli_zyy":
+                gates.append(Gate.ryy(a, b, angle))
+    return gates
+
+
 def gatewise_kernel(left, right, spec) -> np.ndarray:
-    """K[i, j] = |<phi(right[j])|phi(left[i])>|^2 from gate-by-gate states,
-    one overlap at a time."""
+    """K[i, j] = |<phi(right[j])|phi(left[i])>|^2 from gate-by-gate states
+    of gate-by-gate built maps, one overlap at a time."""
     def states(rows):
-        return [run_circuit_gatewise(build_feature_map(spec, x), spec.n_qubits).amplitudes
+        return [run_circuit_gatewise(build_feature_map_gatewise(spec, x),
+                                     spec.n_qubits).amplitudes
                 for x in rows]
 
     right_states = states(right)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qkgene import quantum
 from qkgene.errors import ConfigError
 from qkgene.quantum import (
+    MAP_KINDS,
     MAX_QUBITS,
     FeatureMapSpec,
     Gate,
@@ -15,8 +18,9 @@ from qkgene.quantum import (
     Statevector,
     apply_gate,
     build_feature_map,
+    _embedding_matrix,
+    _fidelity_from_states,
     cross_kernel_matrix,
-    data_map,
     embedding_state,
     exact_kernel_entry,
     inverse_circuit,
@@ -28,6 +32,8 @@ from qkgene.quantum import (
 from qkgene.reduction import symmetric_eigendecomposition
 
 from oracles import (
+    build_feature_map_gatewise,
+    data_map,
     dense_circuit_unitary,
     dense_gate_unitary,
     dense_h,
@@ -109,6 +115,26 @@ def fusion_circuits(draw):
             x, z = (draw(st.lists(ANGLES, min_size=n, max_size=n)) for _ in range(2))
             gates += build_feature_map(spec, x) + inverse_circuit(build_feature_map(spec, z))
     return gates, n
+
+
+# 0.0, -0.0 and pi are the scale range's ends; 1e-300 and +-1e300 make the
+# pair products underflow and overflow; NaN must pass through unchanged.
+SPECIAL_X = st.sampled_from([0.0, -0.0, math.pi, 1e-300, 1e300, -1e300, math.nan])
+
+
+@st.composite
+def feature_map_specs(draw):
+    kind = draw(st.sampled_from(MAP_KINDS))
+    n = draw(st.integers(1 if kind == "z" else 2, 10))
+    return FeatureMapSpec(n, kind, reps=draw(st.integers(1, 4)))
+
+
+@st.composite
+def feature_map_inputs(draw):
+    spec = draw(feature_map_specs())
+    x = draw(st.lists(SPECIAL_X | st.floats(-10.0, 10.0),
+                      min_size=spec.n_qubits, max_size=spec.n_qubits))
+    return spec, x
 
 
 class TestGateFusion:
@@ -266,6 +292,41 @@ class TestFeatureMaps:
         with pytest.raises(ConfigError):
             build_feature_map(FeatureMapSpec(2, "zz"), [0.1, 0.2, 0.3])
 
+    @given(feature_map_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gatewise_builder(self, case):
+        spec, x = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = build_feature_map_gatewise(spec, x)
+            gates = build_feature_map(spec, x)
+        assert [(g.kind, g.qubits) for g in gates] == [(g.kind, g.qubits) for g in expect]
+        assert ([float.hex(g.angle) for g in gates]
+                == [float.hex(g.angle) for g in expect])
+
+    @given(feature_map_inputs())
+    @settings(max_examples=50, deadline=None)
+    def test_each_call_returns_a_new_list(self, case):
+        spec, x = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = build_feature_map(spec, x)
+            expect = list(first)
+            first.clear()
+            second = build_feature_map(spec, x)
+        assert second is not first
+        assert [(g.kind, g.qubits) for g in second] == [(g.kind, g.qubits) for g in expect]
+
+    @given(spec=feature_map_specs(), width=st.integers(0, 11))
+    @settings(max_examples=50, deadline=None)
+    def test_width_error_matches_gatewise_builder(self, spec, width):
+        if width == spec.n_qubits:
+            width += 1
+        x = np.full(width, 0.5)
+        with pytest.raises(ConfigError) as expect:
+            build_feature_map_gatewise(spec, x)
+        with pytest.raises(ConfigError) as got:
+            build_feature_map(spec, x)
+        assert str(got.value) == str(expect.value)
+
 
 class TestExactKernel:
     def test_self_fidelity_is_one(self):
@@ -399,6 +460,41 @@ class TestKernelMatrices:
                     exact_kernel_entry(left[i], right[j], spec), abs=1e-12
                 )
 
+    def test_fidelity_blocks_equal_one_product(self, monkeypatch):
+        """Conjugating the right-hand states in blocks leaves every entry
+        bit-equal to the single product over all of them, at every row count
+        against blocks of 8 and 16 rows."""
+        rng = np.random.default_rng(17)
+        for qubits in (1, 3, 6):
+            dim = 1 << qubits
+            for budget_rows in (1, 8, 12, 16, 17):
+                monkeypatch.setattr(quantum, "_CONJ_BLOCK_BYTES", budget_rows * dim * 16)
+                for n_left in (1, 2, 5):
+                    for n_right in range(1, 42):
+                        left, right = (rng.standard_normal((rows, dim))
+                                       + 1j * rng.standard_normal((rows, dim))
+                                       for rows in (n_left, n_right))
+                        overlap = left @ right.conj().T
+                        expect = np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0)
+                        got = _fidelity_from_states(left, right)
+                        assert got.tobytes() == expect.tobytes(), (qubits, budget_rows,
+                                                                   n_left, n_right)
+
+    def test_fidelity_conjugates_one_block_at_a_time(self, monkeypatch):
+        """The product's extra memory is one block of right-hand states, not
+        a conjugated copy of all of them."""
+        rng = np.random.default_rng(16)
+        left = rng.standard_normal((4, 1024)) + 0j
+        right = rng.standard_normal((256, 1024)) + 0j
+        monkeypatch.setattr(quantum, "_CONJ_BLOCK_BYTES", 64 << 10)
+        tracemalloc.start()
+        try:
+            _fidelity_from_states(left, right)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < right.nbytes // 8
+
     def test_exact_kernels_run_one_circuit_per_row(self, monkeypatch):
         """perfbench's trace self-check counts `quantum.run_circuit` calls and
         expects 2·n_train + n_test of them, each the full feature-map gate list
@@ -429,3 +525,42 @@ class TestKernelMatrices:
         x = rng.uniform(0, math.pi, size=3)
         state = embedding_state(x, FeatureMapSpec(3, "pauli_zyy", reps=reps))
         assert state.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestEmbeddingGolden:
+    """sha256 of the embedded states and of the exact training kernel for
+    every map at 4, 6 and 12 qubits, recorded from the per-gate builder and
+    the single-product fidelity. A change to any angle, gate, simulator step
+    or overlap product moves them. At 12 qubits the 130 rows split the
+    fidelity product into blocks of 64, 64 and 2 rows."""
+
+    GOLDEN = {
+        ("z", 4): ("7342077143bfdc1a5ca1cd3280e710a4df3a6b01b6d82dfa57ccbc231426869c",
+                   "58b5767416e30079c6a10cd92ce013e27ee822cfc71944daeb53e72e7771deeb"),
+        ("z", 6): ("f75c9aed190c64f3868f3563b65901a6651168235e0f7981d39c4611aac4558e",
+                   "4146af6b402939d9cf559456a89ca5a56d54e73a5c11f521b934d6fbbcf1a974"),
+        ("z", 12): ("c23340bd0880f5806fbb263007901c92f16cc953cc4eb569c192723f9a15ec86",
+                    "f7af421cb722526f898acbc094ddd3640cb2397f628bd383a7fa4f9db645c604"),
+        ("zz", 4): ("5a94583996801d7accb8dd8e672043cd02ce0c8f2fcf6e765ce54b7c4fc1e5e5",
+                    "e522de30cdd83fa20c439baebf34e0fd86083ef3cb1ac2fb139e20b39253843c"),
+        ("zz", 6): ("bedfa63f357cdd0b709ab3e0292f80a756cea5b39e0afcb6bedc5518602a66c1",
+                    "aad59c324f449325cd9b92bb33c8557c36d8d61cab4bfb817569e73e770f1585"),
+        ("zz", 12): ("cb675b05c1cbb6e2b19e05f98cbd13f9b4297bb0adb2550b1416cb2980e470c3",
+                     "62aca4645825b9c25440308ecd3e3599b4d2f8e2d733ffd41d10b06c01391f51"),
+        ("pauli_zyy", 4): ("198977a19cc3fc2ab5725530840ac7561601765b0344de2a42ccc075a49a6e8c",
+                           "6ab8dfaa649750a0145f01a02bd1d666ee4d037cb1c8e0df0c578b269286062c"),
+        ("pauli_zyy", 6): ("bb69651f26e79e4cd17d9aaf4e78c30d07e4f29c2b451f266a706c1299c683b3",
+                           "1eb25a283b7d196bad65a428a313520027a0c5dbe41d38f5fcd478e9e0f1a04f"),
+        ("pauli_zyy", 12): ("682ac5a963d4ae856d77e5efcf45346806295d25338843322418c7b4b2556713",
+                            "c8f1968c81ab43ec827761e31a0e4d0eb474f48a46609d1e5023109bb949dddf"),
+    }
+
+    @pytest.mark.parametrize("kind, n", sorted(GOLDEN))
+    def test_embedding_is_pinned(self, kind, n):
+        X = np.random.default_rng(n).uniform(0.0, math.pi, size=(130 if n == 12 else 17, n))
+        X[0] = 0.0
+        X[1] = math.pi
+        spec = FeatureMapSpec(n, kind, reps=3)
+        states, kernel = self.GOLDEN[kind, n]
+        assert hashlib.sha256(_embedding_matrix(X, spec).tobytes()).hexdigest() == states
+        assert hashlib.sha256(kernel_matrix(X, spec).values.tobytes()).hexdigest() == kernel
