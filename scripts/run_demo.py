@@ -13,7 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qkgene.data_io import LabeledDataset
-from qkgene.pipeline import PipelineConfig, run_compare_kernels, run_full
+from qkgene.pipeline import PipelineConfig, run
 from qkgene.synth import planted_dataset
 
 
@@ -33,14 +33,14 @@ def main(argv=None) -> int:
     for use_selection in (True, False):
         tag = "with selection" if use_selection else "no selection"
         start = time.monotonic()
-        payload = run_full(cfg, use_selection=use_selection, ds=ds)
+        payload = run(cfg, "evaluate", use_selection=use_selection, ds=ds).metrics
         elapsed = time.monotonic() - start
         print(f"[{tag}] accuracy={payload['accuracy']:.3f} "
               f"auc={payload['auc']:.3f} f1={payload['f1']:.3f} "
               f"genes={payload['selected_count']} ({elapsed:.1f}s)")
 
     print("kernel comparison (no selection):")
-    result = run_compare_kernels(cfg, ds=ds)
+    result = run(cfg, "compare", use_selection=False, ds=ds)
     for row in result.rows:
         print(f"  {row['kernel']:>10s}  accuracy={row['accuracy']:.3f} "
               f"auc={row['auc']:.3f}")

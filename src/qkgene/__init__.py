@@ -4,7 +4,7 @@ from .classifier import KernelMatrix, SvmModel, smo_train
 from .data_io import LabeledDataset, PhaseScaler, SplitSpec, load_csv, stratified_split
 from .metrics import ConfusionMatrix, confusion, roc_auc, scores_from_confusion
 from .optimizer import FeatureMask, FitnessConfig, HhoParams, run_bhho
-from .pipeline import PipelineConfig, parse_config, run_compare_kernels, run_full
+from .pipeline import PipelineConfig, RunResult, parse_config, run
 from .quantum import FeatureMapSpec, Gate, ShotConfig, Statevector, kernel_matrix
 from .reduction import PcaModel, pca_fit, pca_transform
 from .sampling import SmoteConfig, smote_oversample
@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfusionMatrix", "FeatureMapSpec", "FeatureMask", "FitnessConfig", "Gate",
     "HhoParams", "KernelMatrix", "LabeledDataset", "PcaModel", "PhaseScaler",
-    "PipelineConfig", "ShotConfig", "SmoteConfig", "SplitSpec", "Statevector",
-    "SvmModel", "blobs_dataset", "confusion", "kernel_matrix", "load_csv",
-    "parse_config", "pca_fit", "pca_transform", "planted_dataset", "roc_auc",
-    "run_bhho", "run_compare_kernels", "run_full", "scores_from_confusion",
-    "smo_train", "smote_oversample", "stratified_split",
+    "PipelineConfig", "RunResult", "ShotConfig", "SmoteConfig", "SplitSpec",
+    "Statevector", "SvmModel", "blobs_dataset", "confusion", "kernel_matrix",
+    "load_csv", "parse_config", "pca_fit", "pca_transform", "planted_dataset",
+    "roc_auc", "run", "run_bhho", "scores_from_confusion", "smo_train",
+    "smote_oversample", "stratified_split",
 ]

@@ -1,9 +1,10 @@
 """Command line front end.
 
-Each subcommand recomputes the pipeline deterministically from the config
-up to its own stage and writes that stage's artifacts, so stages can be
-inspected independently without an artifact-passing protocol. Exit codes:
-0 success, 1 configuration error, 2 data error, 3 numerical failure.
+Each subcommand names a stage of pipeline.run, which recomputes the
+pipeline deterministically from the config up to that stage and writes the
+stage's artifacts, so stages can be inspected independently without an
+artifact-passing protocol. Exit codes: 0 success, 1 configuration error,
+2 data error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -16,8 +17,17 @@ import numpy as np
 from . import pipeline
 from .errors import ConfigError, DataError, NumericalError
 
-STAGE_COMMANDS = ("select", "reduce", "kernel", "train", "evaluate",
-                  "run-all", "compare-kernels")
+# command -> the pipeline stage it runs up to
+COMMANDS = {"select": "select", "reduce": "reduce", "kernel": "kernel", "train": "train",
+            "evaluate": "evaluate", "run-all": "evaluate", "compare-kernels": "compare"}
+
+# stage -> one line on what it produced, for the stages that print one
+_SUMMARIES = {
+    "select": lambda r: f"selected {r.prep.mask.selected_count}/{len(r.prep.mask.bits)} genes",
+    "reduce": lambda r: f"reduced to {r.prep.k_effective} components",
+    "kernel": lambda r: f"kernel matrices {r.k_train.shape} and {r.k_cross.shape}",
+    "train": lambda r: f"trained model with {len(r.model.support_indices)} support vectors",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gene selection and quantum-kernel classification pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGE_COMMANDS:
+    for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="key=value config file")
         cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -60,32 +70,16 @@ def _config_from_args(args) -> pipeline.PipelineConfig:
 
 def _dispatch(args) -> None:
     cfg = _config_from_args(args)
-    use_selection = not getattr(args, "no_selection", False)
-    if args.command == "select":
-        mask, _convergence = pipeline.run_select(cfg)
-        print(f"selected {mask.selected_count}/{len(mask.bits)} genes; "
-              f"artifacts in {cfg.out_dir}")
-    elif args.command == "reduce":
-        prep = pipeline.run_reduce(cfg, use_selection)
-        print(f"reduced to {prep.k_effective} components; artifacts in {cfg.out_dir}")
-    elif args.command == "kernel":
-        k_train, k_cross = pipeline.run_kernel(cfg, use_selection)
-        print(f"kernel matrices {k_train.shape} and {k_cross.shape}; "
-              f"artifacts in {cfg.out_dir}")
-    elif args.command == "train":
-        model = pipeline.run_train(cfg, use_selection)
-        print(f"trained model with {len(model.support_indices)} support vectors; "
-              f"artifacts in {cfg.out_dir}")
-    elif args.command in ("evaluate", "run-all"):
-        payload = pipeline.run_full(cfg, use_selection)
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.command == "compare-kernels":
-        result = pipeline.run_compare_kernels(cfg, use_selection=use_selection)
-        for row in result.rows:
+    stage = COMMANDS[args.command]
+    res = pipeline.run(cfg, stage, use_selection=not getattr(args, "no_selection", False))
+    if stage == "evaluate":
+        print(json.dumps(res.metrics, sort_keys=True, indent=2))
+    elif stage == "compare":
+        for row in res.rows:
             print(f"{row['kernel']:>10}  accuracy={row['accuracy']:.4f}  "
                   f"f1={row['f1']:.4f}  auc={row['auc']:.4f}")
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ConfigError(f"unknown command {args.command}")
+    else:
+        print(f"{_SUMMARIES[stage](res)}; artifacts in {cfg.out_dir}")
 
 
 def main(argv=None) -> int:
@@ -101,8 +95,8 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except OSError as exc:  # reading inputs raises the errors above, so this is a write
+        print(f"config error: cannot write to out.dir: {exc}", file=sys.stderr)
         return 1
     return 0
 

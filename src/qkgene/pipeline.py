@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,130 +33,96 @@ from .optimizer import FeatureMask, FitnessConfig, HhoParams, run_bhho
 from .sampling import SmoteConfig, smote_oversample
 
 KERNEL_CHOICES = ("z", "zz", "pauli_zyy", "rbf")
-COMPARE_KERNELS = KERNEL_CHOICES
+COMPARE_COLUMNS = ("accuracy", "precision", "recall", "specificity", "f1", "auc")
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 
+def _key(key: str, default, check=None, rule: str = ""):
+    """A config field: its dotted key, its default, and a check its value must pass."""
+    return field(default=default, metadata={"key": key, "check": check, "rule": rule})
+
+
+def _at_least(low):
+    return (lambda v: v >= low), f"must be at least {low}"
+
+
+def _between(low, high):
+    return (lambda v: low < v < high), f"must lie strictly between {low} and {high}"
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices), "must be " + " or ".join(map(repr, choices))
+
+
+_POSITIVE = (lambda v: v > 0), "must be positive"
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    data_path: str = ""
-    label_column: str = "label"
-    positive_label: str = "1"
-    test_fraction: float = 0.25
-    stratified: bool = True
-    smote_enabled: bool = True
-    smote_k: int = 5
+    """The one config schema: each field carries its dotted key and its check.
+
+    Every float must also be finite. smote_targets has no key of its own; it
+    collects the smote.targets.<class> keys.
+    """
+    data_path: str = _key("data.path", "")
+    label_column: str = _key("data.label_column", "label")
+    positive_label: str = _key("data.positive_label", "1")
+    test_fraction: float = _key("split.test_fraction", 0.25, *_between(0, 1))
+    stratified: bool = _key("split.stratified", True)
+    smote_enabled: bool = _key("smote.enabled", True)
+    smote_k: int = _key("smote.k", 5, *_at_least(1))
     smote_targets: tuple[tuple[int, int], ...] = ()
-    hho_hawks: int = 10
-    hho_iters: int = 100
-    hho_lower: float = -1.0
-    hho_upper: float = 1.0
-    hho_transfer: str = "s"
-    fit_alpha: float = 0.99
-    fit_evaluator: str = "knn"
-    fit_knn_k: int = 5
-    fit_val_fraction: float = 0.2
-    pca_k: int = 20
-    qk_map: str = "zz"
-    qk_reps: int = 3
-    qk_entanglement: str = "linear"
-    qk_mode: str = "exact"
-    qk_shots: int = 100
-    qk_seed: int = 10598
-    svm_c: float = 1.0
-    svm_tol: float = 1e-3
-    svm_max_passes: int = 0  # 0 means the trainer default
-    psd_clip: str = "auto"
-    scale_lo: float = 0.0
-    scale_hi: float = math.pi
-    pca_before_smote: bool = False
-    seed: int = 42
-    out_dir: str = "runs/out"
+    hho_hawks: int = _key("hho.n", 10, *_at_least(2))
+    hho_iters: int = _key("hho.t", 100, *_at_least(1))
+    hho_lower: float = _key("hho.lower", -1.0)
+    hho_upper: float = _key("hho.upper", 1.0)
+    hho_transfer: str = _key("hho.transfer", "s", *_one_of("s", "v"))
+    fit_alpha: float = _key("fitness.alpha", 0.99, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+    fit_evaluator: str = _key("fitness.evaluator", "knn", *_one_of("knn"))
+    fit_knn_k: int = _key("fitness.knn_k", 5, *_at_least(1))
+    fit_val_fraction: float = _key("fitness.val_fraction", 0.2, *_between(0, 1))
+    pca_k: int = _key("pca.k", 20, *_at_least(1))
+    qk_map: str = _key("qk.map", "zz", *_one_of(*KERNEL_CHOICES))
+    qk_reps: int = _key("qk.reps", 3, *_at_least(1))
+    qk_entanglement: str = _key("qk.entanglement", "linear", *_one_of("linear"))
+    qk_mode: str = _key("qk.mode", "exact", *_one_of("exact", "sampled"))
+    qk_shots: int = _key("qk.shots", 100, *_at_least(1))
+    qk_seed: int = _key("qk.seed", 10598, *_at_least(0))
+    svm_c: float = _key("svm.c", 1.0, *_POSITIVE)
+    svm_tol: float = _key("svm.tol", 1e-3, *_POSITIVE)
+    svm_max_passes: int = _key("svm.max_passes", 0, *_at_least(0))  # 0: the trainer default
+    psd_clip: str = _key("svm.psd_clip", "auto", *_one_of("auto", "on", "off"))
+    scale_lo: float = _key("scale.lo", 0.0)
+    scale_hi: float = _key("scale.hi", math.pi)
+    pca_before_smote: bool = _key("pipeline.pca_before_smote", False)
+    seed: int = _key("seed", 42, *_at_least(0))
+    out_dir: str = _key("out.dir", "runs/out")
 
     def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("split.test_fraction must lie strictly between 0 and 1")
-        if self.qk_map not in KERNEL_CHOICES:
-            raise ConfigError(f"qk.map must be one of {KERNEL_CHOICES}")
-        if self.qk_mode not in ("exact", "sampled"):
-            raise ConfigError("qk.mode must be 'exact' or 'sampled'")
-        if self.qk_entanglement != "linear":
-            raise ConfigError("qk.entanglement supports only 'linear'")
-        if self.hho_transfer not in ("s", "v"):
-            raise ConfigError("hho.transfer must be 's' or 'v'")
-        if self.psd_clip not in ("auto", "on", "off"):
-            raise ConfigError("svm.psd_clip must be auto, on, or off")
-        if not self.scale_hi > self.scale_lo:
-            raise ConfigError("scale.hi must exceed scale.lo")
-        if self.pca_k < 1:
-            raise ConfigError("pca.k must be at least 1")
-        if self.qk_reps < 1:
-            raise ConfigError("qk.reps must be at least 1")
-        if self.qk_shots < 1:
-            raise ConfigError("qk.shots must be at least 1")
-        if self.svm_c <= 0:
-            raise ConfigError("svm.c must be positive")
-        if self.svm_tol <= 0:
-            raise ConfigError("svm.tol must be positive")
-        if self.svm_max_passes < 0:
-            raise ConfigError("svm.max_passes must be non-negative")
-        if self.hho_hawks < 2:
-            raise ConfigError("hho.n must be at least 2")
-        if self.hho_iters < 1:
-            raise ConfigError("hho.t must be at least 1")
-        if not self.hho_upper > self.hho_lower:
-            raise ConfigError("hho.upper must exceed hho.lower")
-        if not 0.0 <= self.fit_alpha <= 1.0:
-            raise ConfigError("fitness.alpha must lie in [0, 1]")
-        if not 0.0 < self.fit_val_fraction < 1.0:
-            raise ConfigError("fitness.val_fraction must lie strictly between 0 and 1")
-        if self.smote_k < 1 or self.fit_knn_k < 1:
-            raise ConfigError("neighbour counts must be at least 1")
+        for f in fields(self):
+            key, check = f.metadata.get("key"), f.metadata.get("check")
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite")
+            if check is not None and not check(value):
+                raise ConfigError(f"{key} {f.metadata['rule']}")
+        # the checks that relate two keys; a range must also have a finite width
+        for lo, hi, low, high in (("hho.lower", "hho.upper", self.hho_lower, self.hho_upper),
+                                  ("scale.lo", "scale.hi", self.scale_lo, self.scale_hi)):
+            if not high > low:
+                raise ConfigError(f"{hi} must exceed {lo}")
+            if not math.isfinite(high - low):
+                raise ConfigError(f"{hi} - {lo} must be finite")
 
 
-# dotted config key -> dataclass field
-KEY_MAP = {
-    "data.path": "data_path",
-    "data.label_column": "label_column",
-    "data.positive_label": "positive_label",
-    "split.test_fraction": "test_fraction",
-    "split.stratified": "stratified",
-    "smote.enabled": "smote_enabled",
-    "smote.k": "smote_k",
-    "hho.n": "hho_hawks",
-    "hho.t": "hho_iters",
-    "hho.lower": "hho_lower",
-    "hho.upper": "hho_upper",
-    "hho.transfer": "hho_transfer",
-    "fitness.alpha": "fit_alpha",
-    "fitness.evaluator": "fit_evaluator",
-    "fitness.knn_k": "fit_knn_k",
-    "fitness.val_fraction": "fit_val_fraction",
-    "pca.k": "pca_k",
-    "qk.map": "qk_map",
-    "qk.reps": "qk_reps",
-    "qk.entanglement": "qk_entanglement",
-    "qk.mode": "qk_mode",
-    "qk.shots": "qk_shots",
-    "qk.seed": "qk_seed",
-    "svm.c": "svm_c",
-    "svm.tol": "svm_tol",
-    "svm.max_passes": "svm_max_passes",
-    "svm.psd_clip": "psd_clip",
-    "scale.lo": "scale_lo",
-    "scale.hi": "scale_hi",
-    "pipeline.pca_before_smote": "pca_before_smote",
-    "seed": "seed",
-    "out.dir": "out_dir",
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+# dotted config key -> PipelineConfig field
+_FIELDS = {f.metadata["key"]: f for f in fields(PipelineConfig) if "key" in f.metadata}
 
 
-def _convert(key: str, field_name: str, raw: str):
-    kind = _FIELD_TYPES[field_name]
+def _convert(key: str, raw: str):
+    kind = _FIELDS[key].type
     raw = raw.strip()
     try:
         if kind == "bool":
@@ -166,11 +132,7 @@ def _convert(key: str, field_name: str, raw: str):
             if lowered in _FALSE:
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return {"int": int, "float": float}.get(kind, str)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
@@ -187,12 +149,9 @@ def parse_config(mapping: dict) -> PipelineConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad smote target {key}={raw}") from exc
             continue
-        if key not in KEY_MAP:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        field_name = KEY_MAP[key]
-        values[field_name] = (
-            _convert(key, field_name, str(raw)) if isinstance(raw, str) else raw
-        )
+        values[_FIELDS[key].name] = _convert(key, raw) if isinstance(raw, str) else raw
     if targets:
         values["smote_targets"] = tuple(sorted(targets.items()))
     return PipelineConfig(**values)
@@ -218,8 +177,8 @@ def load_config_file(path) -> dict[str, str]:
 
 def config_hash(cfg: PipelineConfig) -> str:
     parts = []
-    for key in sorted(KEY_MAP):
-        value = getattr(cfg, KEY_MAP[key])
+    for key in sorted(_FIELDS):
+        value = getattr(cfg, _FIELDS[key].name)
         if isinstance(value, bool):
             text = "true" if value else "false"
         elif isinstance(value, float):
@@ -246,14 +205,15 @@ def stage_seed(master: int, stage: str) -> int:
 class PreparedData:
     train: LabeledDataset  # kernel-ready: selected, resampled, reduced, scaled
     test: LabeledDataset
-    mask: FeatureMask | None
-    convergence: np.ndarray | None
-    history: list | None
-    pca: reduction.PcaModel
-    scaler: PhaseScaler
-    k_effective: int
-    input_hash: str
     gene_names: list[str]  # of the raw input genes, for the mask artifact
+    mask: FeatureMask | None = None
+    convergence: np.ndarray | None = None
+    history: list | None = None
+    # the rest stay unset when prepare stops after the selection
+    pca: reduction.PcaModel | None = None
+    scaler: PhaseScaler | None = None
+    k_effective: int = 0
+    input_hash: str = ""
 
 
 def _load(cfg: PipelineConfig, ds: LabeledDataset | None) -> LabeledDataset:
@@ -292,18 +252,18 @@ def _select(cfg: PipelineConfig, train: LabeledDataset):
 
 
 def prepare(cfg: PipelineConfig, use_selection: bool,
-            ds: LabeledDataset | None = None) -> PreparedData:
+            ds: LabeledDataset | None = None, select_only: bool = False) -> PreparedData:
     ds = _load(cfg, ds)
-    gene_names = list(ds.gene_names)
     train, test = stratified_split(
         ds, SplitSpec(cfg.test_fraction, stage_seed(cfg.seed, "split"), cfg.stratified)
     )
-
-    mask = convergence = history = None
+    prep = PreparedData(train=train, test=test, gene_names=list(ds.gene_names))
     if use_selection:
-        mask, convergence, history = _select(cfg, train)
-        train = train.select_genes(mask.bits)
-        test = test.select_genes(mask.bits)
+        prep.mask, prep.convergence, prep.history = _select(cfg, train)
+        train = train.select_genes(prep.mask.bits)
+        test = test.select_genes(prep.mask.bits)
+    if select_only:
+        return prep
 
     smote_cfg = SmoteConfig(
         k_neighbors=cfg.smote_k,
@@ -328,25 +288,30 @@ def prepare(cfg: PipelineConfig, use_selection: bool,
         test = LabeledDataset(reduction.pca_transform(pca, test.features), test.labels)
 
     scaler = PhaseScaler(cfg.scale_lo, cfg.scale_hi).fit(train.features)
-    train = scaler.transform(train)
-    test = scaler.transform(test)
-
+    prep.train, prep.test = scaler.transform(train), scaler.transform(test)
+    prep.pca, prep.scaler, prep.k_effective = pca, scaler, k_eff
     digest = hashlib.sha256()
-    for chunk in (train.features, train.labels, test.features, test.labels):
+    for chunk in (prep.train.features, prep.train.labels, prep.test.features, prep.test.labels):
         digest.update(np.ascontiguousarray(chunk).tobytes())
-    return PreparedData(train=train, test=test, mask=mask, convergence=convergence,
-                        history=history, pca=pca, scaler=scaler, k_effective=k_eff,
-                        input_hash=digest.hexdigest()[:16], gene_names=gene_names)
+    prep.input_hash = digest.hexdigest()[:16]
+    return prep
 
 
 def _kernels(cfg: PipelineConfig, prep: PreparedData, kind: str | None = None):
     kind = cfg.qk_map if kind is None else kind
+    k = prep.k_effective
     if kind == "rbf":
-        gamma = 1.0 / prep.k_effective
+        gamma = 1.0 / k
         return (classifier.rbf_kernel_matrix(prep.train.features, gamma=gamma),
                 classifier.rbf_kernel_matrix(prep.test.features, prep.train.features,
                                              gamma=gamma))
-    spec = quantum.FeatureMapSpec(n_qubits=prep.k_effective, kind=kind,
+    # the effective pca.k is known only here: clamped to the genes and rows left
+    if k > quantum.MAX_QUBITS:
+        raise ConfigError(f"pca.k must be at most {quantum.MAX_QUBITS} for the {kind} map "
+                          f"(effective pca.k here: {k})")
+    if k < 2 and kind != "z":
+        raise ConfigError(f"the {kind} map needs pca.k of at least 2 (effective pca.k here: {k})")
+    spec = quantum.FeatureMapSpec(n_qubits=k, kind=kind,
                                   reps=cfg.qk_reps, entanglement=cfg.qk_entanglement)
     shots = quantum.ShotConfig(cfg.qk_shots, cfg.qk_seed)
     k_train = quantum.kernel_matrix(prep.train.features, spec,
@@ -428,7 +393,7 @@ def _write_roc(cfg, hash_text, curve) -> None:
 
 
 def _write_compare(cfg, hash_text, rows: list[dict], input_hash: str) -> None:
-    header = ["kernel", "accuracy", "precision", "recall", "specificity", "f1", "auc"]
+    header = ["kernel", *COMPARE_COLUMNS]
     _write_csv(_out_path(cfg, "compare.csv"),
                [f"config_hash={hash_text}", f"input_hash={input_hash}"],
                header, table_lines([r[k] for k in header] for r in rows))
@@ -439,121 +404,94 @@ def _write_metrics(cfg, payload: dict) -> None:
                [json.dumps(payload, sort_keys=True, separators=(",", ":")), "\n"])
 
 
-def run_select(cfg: PipelineConfig, ds: LabeledDataset | None = None,
-               write: bool = True):
-    """Selection stage only: split, search, emit mask and convergence."""
-    ds = _load(cfg, ds)
-    train, _test = stratified_split(
-        ds, SplitSpec(cfg.test_fraction, stage_seed(cfg.seed, "split"), cfg.stratified)
-    )
-    mask, convergence, history = _select(cfg, train)
-    if write:
-        hash_text = config_hash(cfg)
-        _write_mask(cfg, hash_text, mask, train.gene_names)
-        _write_convergence(cfg, hash_text, history)
-    return mask, convergence
-
-
-def run_reduce(cfg: PipelineConfig, use_selection: bool = True,
-               ds: LabeledDataset | None = None, write: bool = True):
-    prep = prepare(cfg, use_selection, ds)
-    if write:
-        reduction.save_pca_model(prep.pca, _out_path(cfg, "pca_model.csv"),
-                                 header_comment=f"config_hash={config_hash(cfg)}")
-    return prep
-
-
-def run_kernel(cfg: PipelineConfig, use_selection: bool = True,
-               ds: LabeledDataset | None = None, write: bool = True):
-    prep = prepare(cfg, use_selection, ds)
-    k_train, k_cross = _kernels(cfg, prep)
-    if write:
-        hash_text = config_hash(cfg)
-        _write_kernel(cfg, hash_text, "kernel_train.csv", k_train)
-        _write_kernel(cfg, hash_text, "kernel_cross.csv", k_cross)
-    return k_train, k_cross
-
-
-def run_train(cfg: PipelineConfig, use_selection: bool = True,
-              ds: LabeledDataset | None = None, write: bool = True):
-    prep = prepare(cfg, use_selection, ds)
-    k_train, _k_cross = _kernels(cfg, prep)
-    model = _train(cfg, k_train, prep.train.labels, cfg.qk_map)
-    if write:
-        _write_model(cfg, config_hash(cfg), model)
-    return model
-
-
-def run_full(cfg: PipelineConfig, use_selection: bool = True,
-             ds: LabeledDataset | None = None, write: bool = True) -> dict:
-    """Whole pipeline; returns the metrics payload written to metrics.json.
-
-    metrics.json is removed before the first write and written after the
-    last, so it is present only when the rest of the run's artifacts are.
-    """
-    prep = prepare(cfg, use_selection, ds)
-    k_train, k_cross = _kernels(cfg, prep)
-    model = _train(cfg, k_train, prep.train.labels, cfg.qk_map)
-    summary, curve = _evaluate(model, k_cross, prep.test.labels)
-
-    hash_text = config_hash(cfg)
-    payload = dict(summary)
-    payload.update(
-        config_hash=hash_text,
-        kernel=cfg.qk_map,
-        mode=cfg.qk_mode,
-        pca_k=prep.k_effective,
-        n_train=prep.train.n_samples,
-        n_test=prep.test.n_samples,
-        use_selection=use_selection,
-        selected_count=prep.mask.selected_count if prep.mask is not None else None,
-        input_hash=prep.input_hash,
-    )
-    if write:
-        # drop the old completion marker first, and whatever this run will
-        # not overwrite, so the out dir never mixes two runs
-        _remove(_out_path(cfg, "metrics.json"))
-        if prep.mask is None:
-            for name in ("mask.csv", "convergence.csv"):
-                _remove(_out_path(cfg, name))
-        else:
-            _write_mask(cfg, hash_text, prep.mask, prep.gene_names)
-            _write_convergence(cfg, hash_text, prep.history)
-        reduction.save_pca_model(prep.pca, _out_path(cfg, "pca_model.csv"),
-                                 header_comment=f"config_hash={hash_text}")
-        _write_kernel(cfg, hash_text, "kernel_train.csv", k_train)
-        _write_kernel(cfg, hash_text, "kernel_cross.csv", k_cross)
-        _write_model(cfg, hash_text, model)
-        _write_roc(cfg, hash_text, curve)
-        _write_metrics(cfg, payload)
-    return payload
+# stage -> the artifacts it writes, in write order; only evaluate writes
+# metrics.json, and writes it last
+STAGE_ARTIFACTS = {
+    "select": ("mask.csv", "convergence.csv"),
+    "reduce": ("pca_model.csv",),
+    "kernel": ("kernel_train.csv", "kernel_cross.csv"),
+    "train": ("model.csv",),
+    "evaluate": ("mask.csv", "convergence.csv", "pca_model.csv", "kernel_train.csv",
+                 "kernel_cross.csv", "model.csv", "roc.csv", "metrics.json"),
+    "compare": ("compare.csv",),
+}
+STAGES = tuple(STAGE_ARTIFACTS)
+ARTIFACTS = STAGE_ARTIFACTS["evaluate"] + STAGE_ARTIFACTS["compare"]
 
 
 @dataclass
-class CompareResult:
-    rows: list[dict]
-    input_hash: str
+class RunResult:
+    """What one driver call computed; what its stage does not reach stays None."""
+    stage: str
+    prep: PreparedData
+    k_train: np.ndarray | None = None
+    k_cross: np.ndarray | None = None
+    model: classifier.SvmModel | None = None
+    curve: list | None = None
+    metrics: dict | None = None  # the metrics.json payload
+    rows: list[dict] | None = None  # compare: one row of scores per kernel
 
 
-def run_compare_kernels(cfg: PipelineConfig, ds: LabeledDataset | None = None,
-                        use_selection: bool = False,
-                        write: bool = True) -> CompareResult:
-    """Train and score every kernel on one shared prepared dataset."""
-    prep = prepare(cfg, use_selection, ds)
-    rows = []
-    for kind in COMPARE_KERNELS:
-        k_train, k_cross = _kernels(cfg, prep, kind=kind)
-        model = _train(cfg, k_train, prep.train.labels, kind)
-        summary, _curve = _evaluate(model, k_cross, prep.test.labels)
-        rows.append({
-            "kernel": kind,
-            "accuracy": summary["accuracy"],
-            "precision": summary["precision"],
-            "recall": summary["recall"],
-            "specificity": summary["specificity"],
-            "f1": summary["f1"],
-            "auc": summary["auc"],
-        })
+def run(cfg: PipelineConfig, stage: str, use_selection: bool = True,
+        ds: LabeledDataset | None = None, write: bool = True) -> RunResult:
+    """Run the pipeline up to `stage` (one of STAGES) and write its artifacts.
+
+    select always runs the gene search. compare trains and scores every
+    kernel in KERNEL_CHOICES on one shared prepared dataset.
+    """
+    if stage not in STAGE_ARTIFACTS:
+        raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
+    use_selection = use_selection or stage == "select"
+    res = RunResult(stage, prepare(cfg, use_selection, ds, select_only=stage == "select"))
+    prep = res.prep
+    if stage in ("kernel", "train", "evaluate"):
+        res.k_train, res.k_cross = _kernels(cfg, prep)
+    if stage in ("train", "evaluate"):
+        res.model = _train(cfg, res.k_train, prep.train.labels, cfg.qk_map)
+    if stage == "evaluate":
+        summary, res.curve = _evaluate(res.model, res.k_cross, prep.test.labels)
+        res.metrics = dict(
+            summary, config_hash=config_hash(cfg), kernel=cfg.qk_map, mode=cfg.qk_mode,
+            pca_k=prep.k_effective, n_train=prep.train.n_samples,
+            n_test=prep.test.n_samples, use_selection=use_selection,
+            selected_count=prep.mask.selected_count if use_selection else None,
+            input_hash=prep.input_hash,
+        )
+    if stage == "compare":
+        res.rows = []
+        for kind in KERNEL_CHOICES:
+            k_train, k_cross = _kernels(cfg, prep, kind=kind)
+            model = _train(cfg, k_train, prep.train.labels, kind)
+            summary, _curve = _evaluate(model, k_cross, prep.test.labels)
+            res.rows.append({"kernel": kind, **{k: summary[k] for k in COMPARE_COLUMNS}})
     if write:
-        _write_compare(cfg, config_hash(cfg), rows, prep.input_hash)
-    return CompareResult(rows=rows, input_hash=prep.input_hash)
+        _write_artifacts(cfg, res)
+    return res
+
+
+def _write_artifacts(cfg: PipelineConfig, res: RunResult) -> None:
+    """The one out-dir rule: clear what this stage will not write, then write.
+
+    Whatever the stage, metrics.json is deleted before the first write, so it
+    marks a complete evaluate run, and every file in the out dir is from one run.
+    """
+    prep, hash_text = res.prep, config_hash(cfg)
+    writers = {
+        "mask.csv": lambda: _write_mask(cfg, hash_text, prep.mask, prep.gene_names),
+        "convergence.csv": lambda: _write_convergence(cfg, hash_text, prep.history),
+        "pca_model.csv": lambda: reduction.save_pca_model(
+            prep.pca, _out_path(cfg, "pca_model.csv"), header_comment=f"config_hash={hash_text}"),
+        "kernel_train.csv": lambda: _write_kernel(cfg, hash_text, "kernel_train.csv", res.k_train),
+        "kernel_cross.csv": lambda: _write_kernel(cfg, hash_text, "kernel_cross.csv", res.k_cross),
+        "model.csv": lambda: _write_model(cfg, hash_text, res.model),
+        "roc.csv": lambda: _write_roc(cfg, hash_text, res.curve),
+        "compare.csv": lambda: _write_compare(cfg, hash_text, res.rows, prep.input_hash),
+        "metrics.json": lambda: _write_metrics(cfg, res.metrics),
+    }
+    names = [name for name in STAGE_ARTIFACTS[res.stage]
+             if prep.mask is not None or name not in ("mask.csv", "convergence.csv")]
+    for name in ARTIFACTS:
+        if name == "metrics.json" or name not in names:
+            _remove(_out_path(cfg, name))
+    for name in names:
+        writers[name]()

@@ -21,7 +21,7 @@ from qkgene.classifier import smo_train
 from qkgene.data_io import LabeledDataset, SplitSpec, stratified_split
 from qkgene.metrics import ConfusionMatrix, roc_auc, scores_from_confusion
 from qkgene.optimizer import FitnessConfig, HhoParams, run_bhho
-from qkgene.pipeline import PipelineConfig, run_full
+from qkgene.pipeline import PipelineConfig, run
 from qkgene.quantum import (
     FeatureMapSpec,
     ShotConfig,
@@ -237,10 +237,12 @@ def test_criterion_08_selection_beats_baseline(tmp_path):
             cfg = PipelineConfig(pca_k=4, hho_iters=50, seed=seed, scale_hi=0.5,
                                  out_dir=str(tmp_path / f"s{seed}"))
             with_selection.append(
-                run_full(cfg, use_selection=True, ds=ds, write=False)["accuracy"]
+                run(cfg, "evaluate", use_selection=True, ds=ds,
+                    write=False).metrics["accuracy"]
             )
             without_selection.append(
-                run_full(cfg, use_selection=False, ds=ds, write=False)["accuracy"]
+                run(cfg, "evaluate", use_selection=False, ds=ds,
+                    write=False).metrics["accuracy"]
             )
         mean_with = float(np.mean(with_selection))
         mean_without = float(np.mean(without_selection))

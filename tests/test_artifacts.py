@@ -5,6 +5,7 @@ floats produced (tests/oracles.py keeps that rendering as the reference), and
 a run must never leave a temp file, a stale selection artifact or a
 metrics.json from an unfinished run in its out dir.
 """
+import json
 import os
 
 import numpy as np
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import csv_artifact_text, kernel_rows, pca_model_rows
-from qkgene import pipeline
+from qkgene import cli, pipeline
 from qkgene.classifier import SvmModel
 from qkgene.data_io import table_lines, write_csv
-from qkgene.pipeline import PipelineConfig, config_hash, run_full
+from qkgene.pipeline import PipelineConfig, config_hash, run
 from qkgene.reduction import pca_fit, save_pca_model
 from qkgene.synth import blobs_dataset, planted_dataset
 
@@ -105,13 +106,13 @@ class TestOutDirConsistency:
         ds = planted_dataset(40, 12, 3, shift=3.0, seed=2)
         cfg = PipelineConfig(hho_hawks=5, hho_iters=5, pca_k=3, seed=2,
                              scale_hi=0.5, out_dir=str(tmp_path / "out"))
-        run_full(cfg, use_selection=True, ds=ds)
+        run(cfg, "evaluate", use_selection=True, ds=ds)
         out = tmp_path / "out"
         assert (out / "mask.csv").exists() and (out / "convergence.csv").exists()
 
         cfg2 = PipelineConfig(hho_hawks=5, hho_iters=5, pca_k=3, seed=3,
                               scale_hi=0.5, out_dir=str(out))
-        run_full(cfg2, use_selection=False, ds=ds)
+        run(cfg2, "evaluate", use_selection=False, ds=ds)
         assert sorted(os.listdir(out)) == ["kernel_cross.csv", "kernel_train.csv",
                                            "metrics.json", "model.csv",
                                            "pca_model.csv", "roc.csv"]
@@ -123,7 +124,7 @@ class TestOutDirConsistency:
     def test_failed_write_leaves_no_temp_file_and_no_metrics(self, tmp_path, monkeypatch):
         ds = blobs_dataset(40, 2, separation=6.0, seed=7)
         cfg = cfg_for(tmp_path)
-        run_full(cfg, use_selection=False, ds=ds)
+        run(cfg, "evaluate", use_selection=False, ds=ds)
         out = tmp_path / "out"
         assert (out / "metrics.json").exists()
 
@@ -137,7 +138,40 @@ class TestOutDirConsistency:
 
         monkeypatch.setattr(pipeline, "_write_model", failing_write_model)
         with pytest.raises(OSError, match="disk full"):
-            run_full(cfg, use_selection=False, ds=ds)
+            run(cfg, "evaluate", use_selection=False, ds=ds)
         names = os.listdir(out)
         assert "metrics.json" not in names
         assert not [n for n in names if ".tmp" in n], names
+
+    @pytest.mark.parametrize("command, expected", [
+        ("select", ["convergence.csv", "mask.csv"]),
+        ("reduce", ["pca_model.csv"]),
+        ("kernel", ["kernel_cross.csv", "kernel_train.csv"]),
+        ("train", ["model.csv"]),
+        ("evaluate", ["kernel_cross.csv", "kernel_train.csv", "metrics.json", "model.csv",
+                      "pca_model.csv", "roc.csv"]),
+        ("compare-kernels", ["compare.csv"]),
+    ])
+    def test_every_command_replaces_a_run_all_out_dir(self, tmp_path, command, expected):
+        ds = planted_dataset(40, 12, 3, shift=3.0, seed=2)
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join([",".join(ds.gene_names + ["label"])] + [
+            ",".join([repr(float(v)) for v in row] + [str(int(y))])
+            for row, y in zip(ds.features, ds.labels)]) + "\n")
+        out = tmp_path / "out"
+        common = ["--data", str(data), "--out", str(out), "--set", "pca.k=3",
+                  "--set", "hho.n=5", "--set", "hho.t=5", "--set", "scale.hi=0.5"]
+        assert cli.main(["run-all", "--seed", "42", *common]) == 0
+        assert len(os.listdir(out)) == 8
+        selection = [] if command == "select" else ["--no-selection"]
+        assert cli.main([command, "--seed", "7", *selection, *common]) == 0
+        assert sorted(os.listdir(out)) == expected
+        hashes = set()
+        for name in expected:
+            first = read_text(out / name).split("\n", 1)[0]
+            hashes.add(json.loads(first)["config_hash"] if name == "metrics.json"
+                       else first.removeprefix("# config_hash="))
+        seven = pipeline.parse_config({"data.path": str(data), "out.dir": str(out), "pca.k": "3",
+                                       "hho.n": "5", "hho.t": "5", "scale.hi": "0.5",
+                                       "seed": "7"})
+        assert hashes == {config_hash(seven)}

@@ -13,9 +13,7 @@ from qkgene.pipeline import (
     load_config_file,
     parse_config,
     prepare,
-    run_compare_kernels,
-    run_full,
-    run_select,
+    run,
     stage_seed,
 )
 from qkgene.synth import blobs_dataset, planted_dataset
@@ -143,7 +141,8 @@ class TestRunSelect:
         ds = planted_dataset(40, 10, 2, shift=3.0, seed=0)
         cfg = PipelineConfig(hho_hawks=5, hho_iters=5, seed=0,
                              out_dir=str(tmp_path / "sel"))
-        mask, convergence = run_select(cfg, ds=ds)
+        res = run(cfg, "select", ds=ds)
+        mask, convergence = res.prep.mask, res.prep.convergence
         assert mask.selected_count >= 1
         assert len(convergence) == 5
 
@@ -159,20 +158,20 @@ class TestRunSelect:
         ds = planted_dataset(40, 10, 2, shift=3.0, seed=1)
         cfg = PipelineConfig(hho_hawks=5, hho_iters=5, seed=1,
                              out_dir=str(tmp_path / "sel"))
-        run_select(cfg, ds=ds)
+        run(cfg, "select", ds=ds)
         first = {
             name: (tmp_path / "sel" / name).read_bytes()
             for name in ("mask.csv", "convergence.csv")
         }
-        run_select(cfg, ds=ds)
+        run(cfg, "select", ds=ds)
         for name, blob in first.items():
             assert (tmp_path / "sel" / name).read_bytes() == blob
 
 
 class TestRunFull:
     def test_blob_accuracy(self, tmp_path):
-        payload = run_full(blob_config(tmp_path), use_selection=False,
-                           ds=blob_data())
+        payload = run(blob_config(tmp_path), "evaluate", use_selection=False,
+                      ds=blob_data()).metrics
         assert payload["accuracy"] >= 0.9
         assert payload["kernel"] == "zz"
         assert payload["use_selection"] is False
@@ -180,16 +179,16 @@ class TestRunFull:
 
     def test_rerun_identical_payload_and_bytes(self, tmp_path):
         cfg = blob_config(tmp_path)
-        first = run_full(cfg, use_selection=False, ds=blob_data())
+        first = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
         metrics_path = tmp_path / "out" / "metrics.json"
         blob = metrics_path.read_bytes()
-        second = run_full(cfg, use_selection=False, ds=blob_data())
+        second = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
         assert first == second
         assert metrics_path.read_bytes() == blob
 
     def test_artifacts_written(self, tmp_path):
         cfg = blob_config(tmp_path)
-        run_full(cfg, use_selection=False, ds=blob_data())
+        run(cfg, "evaluate", use_selection=False, ds=blob_data())
         out = tmp_path / "out"
         for name in ("pca_model.csv", "kernel_train.csv", "kernel_cross.csv",
                      "model.csv", "roc.csv", "metrics.json"):
@@ -203,7 +202,7 @@ class TestRunFull:
         ds = planted_dataset(40, 12, 3, shift=3.0, seed=2)
         cfg = PipelineConfig(hho_hawks=5, hho_iters=5, pca_k=3, seed=2,
                              scale_hi=0.5, out_dir=str(tmp_path / "out"))
-        payload = run_full(cfg, use_selection=True, ds=ds)
+        payload = run(cfg, "evaluate", use_selection=True, ds=ds).metrics
         assert payload["selected_count"] >= 1
         assert (tmp_path / "out" / "mask.csv").exists()
         assert (tmp_path / "out" / "convergence.csv").exists()
@@ -214,33 +213,33 @@ class TestRunFull:
         assert len(mask_lines) - 1 == 12  # header plus one row per input gene
 
     def test_payload_metrics_fields(self, tmp_path):
-        payload = run_full(blob_config(tmp_path), use_selection=False,
-                           ds=blob_data())
+        payload = run(blob_config(tmp_path), "evaluate", use_selection=False,
+                      ds=blob_data()).metrics
         for key in ("accuracy", "precision", "recall", "specificity", "f1",
                     "auc", "config_hash", "input_hash", "n_train", "n_test"):
             assert key in payload
 
     def test_metrics_json_is_canonical(self, tmp_path):
         cfg = blob_config(tmp_path)
-        payload = run_full(cfg, use_selection=False, ds=blob_data())
+        payload = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
         raw = (tmp_path / "out" / "metrics.json").read_text()
         assert raw == json.dumps(payload, sort_keys=True,
                                  separators=(",", ":")) + "\n"
 
     def test_sampled_mode_runs(self, tmp_path):
         cfg = blob_config(tmp_path, qk_mode="sampled", qk_shots=100)
-        payload = run_full(cfg, use_selection=False, ds=blob_data())
+        payload = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
         assert payload["mode"] == "sampled"
         assert 0.0 <= payload["accuracy"] <= 1.0
 
     def test_pca_before_smote_switch(self, tmp_path):
         cfg = blob_config(tmp_path, pca_before_smote=True)
-        payload = run_full(cfg, use_selection=False, ds=blob_data())
+        payload = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
         assert 0.0 <= payload["accuracy"] <= 1.0
 
     def test_pca_k_clamped_to_data(self, tmp_path):
         cfg = blob_config(tmp_path, pca_k=50)
-        payload = run_full(cfg, use_selection=False, ds=blob_data())
+        payload = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
         assert payload["pca_k"] == 2  # only two input features exist
 
 
@@ -270,21 +269,21 @@ class TestLeakageAudit:
 class TestCompareKernels:
     def test_four_rows_shared_input(self, tmp_path):
         cfg = blob_config(tmp_path)
-        result = run_compare_kernels(cfg, ds=blob_data())
+        result = run(cfg, "compare", use_selection=False, ds=blob_data())
         kinds = [row["kernel"] for row in result.rows]
         assert kinds == ["z", "zz", "pauli_zyy", "rbf"]
-        assert len(result.input_hash) == 16
+        assert len(result.prep.input_hash) == 16
 
         text = (tmp_path / "out" / "compare.csv").read_text()
         lines = text.splitlines()
         assert lines[0] == f"# config_hash={config_hash(cfg)}"
-        assert lines[1] == f"# input_hash={result.input_hash}"
+        assert lines[1] == f"# input_hash={result.prep.input_hash}"
         data_rows = [l for l in lines if not l.startswith("#")][1:]
         assert len(data_rows) == 4
 
     def test_separable_set_all_kernels_good(self, tmp_path):
-        result = run_compare_kernels(blob_config(tmp_path), ds=blob_data(),
-                                     write=False)
+        result = run(blob_config(tmp_path), "compare", use_selection=False,
+                     ds=blob_data(), write=False)
         for row in result.rows:
             assert row["accuracy"] >= 0.8, row
 
@@ -404,7 +403,7 @@ class TestColonScale:
             smote_targets=((1, 49), (-1, 31)),
             out_dir=str(tmp_path / "colon"),
         )
-        payload = run_full(cfg, use_selection=True, ds=ds)
+        payload = run(cfg, "evaluate", use_selection=True, ds=ds).metrics
         assert payload["n_train"] == 80
         assert payload["pca_k"] == 20
 
