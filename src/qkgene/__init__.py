@@ -1,6 +1,6 @@
 """Gene selection and quantum-kernel classification toolkit."""
 
-from .classifier import KernelMatrix, SvmModel, smo_train
+from .classifier import SvmModel, smo_train
 from .data_io import LabeledDataset, PhaseScaler, SplitSpec, load_csv, stratified_split
 from .metrics import ConfusionMatrix, confusion, roc_auc, scores_from_confusion
 from .optimizer import FeatureMask, FitnessConfig, HhoParams, run_bhho
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfusionMatrix", "FeatureMapSpec", "FeatureMask", "FitnessConfig", "Gate",
-    "HhoParams", "KernelMatrix", "LabeledDataset", "PcaModel", "PhaseScaler",
+    "HhoParams", "LabeledDataset", "PcaModel", "PhaseScaler",
     "PipelineConfig", "RunResult", "ShotConfig", "SmoteConfig", "SplitSpec",
     "Statevector", "SvmModel", "blobs_dataset", "confusion", "kernel_matrix",
     "load_csv", "parse_config", "pca_fit", "pca_transform", "planted_dataset",

@@ -19,22 +19,6 @@ SYMMETRY_TOL = 1e-9
 
 
 @dataclass
-class KernelMatrix:
-    """Square kernel Gram matrix with the sample ids that index it."""
-
-    values: np.ndarray
-    sample_ids: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise DataError("kernel matrix must be square")
-        if self.sample_ids.shape != (self.values.shape[0],):
-            raise DataError("sample_ids length does not match kernel size")
-
-
-@dataclass
 class SvmModel:
     alphas: np.ndarray
     bias: float
@@ -42,12 +26,6 @@ class SvmModel:
     train_labels: np.ndarray
     c: float
     kkt_violation: float = 0.0
-
-
-def _kernel_array(kernel) -> np.ndarray:
-    if isinstance(kernel, KernelMatrix):
-        return kernel.values
-    return np.asarray(kernel, dtype=np.float64)
 
 
 def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
@@ -58,7 +36,7 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
     update budget of max_passes * n runs out; the default budget is 10 * n
     passes.
     """
-    K = _kernel_array(kernel)
+    K = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     n = len(y)
     if K.shape != (n, n):
@@ -128,7 +106,7 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
 
 
 def dual_objective(kernel, labels, alphas) -> float:
-    K = _kernel_array(kernel)
+    K = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     a = np.asarray(alphas, dtype=np.float64)
     ay = a * y
@@ -137,7 +115,7 @@ def dual_objective(kernel, labels, alphas) -> float:
 
 def decision_function(model: SvmModel, kernel_rows) -> np.ndarray:
     """Scores for rows of K(test, train) against the trained model."""
-    rows = _kernel_array(kernel_rows)
+    rows = np.asarray(kernel_rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[None, :]
     if rows.shape[1] != len(model.alphas):
@@ -170,7 +148,7 @@ def rbf_kernel_matrix(x, z=None, gamma: float = 1.0) -> np.ndarray:
 
 def clip_kernel_psd(kernel) -> np.ndarray:
     """Repair a nearly-PSD matrix by clipping negative eigenvalues at zero."""
-    K = _kernel_array(kernel)
+    K = np.asarray(kernel, dtype=np.float64)
     sym = 0.5 * (K + K.T)
     values, vectors = np.linalg.eigh(sym)
     rebuilt = (vectors * np.maximum(values, 0.0)) @ vectors.T

@@ -88,7 +88,8 @@ class PipelineConfig:
     qk_reps: int = _key("qk.reps", 3, *_at_least(1))
     qk_entanglement: str = _key("qk.entanglement", "linear", *_one_of("linear"))
     qk_mode: str = _key("qk.mode", "exact", *_one_of("exact", "sampled"))
-    qk_shots: int = _key("qk.shots", 100, *_at_least(1))
+    qk_shots: int = _key("qk.shots", 100, lambda v: 1 <= v <= quantum.MAX_SHOTS,
+                         f"must lie in [1, {quantum.MAX_SHOTS}]")
     qk_seed: int = _key("qk.seed", 10598, *_at_least(0))
     svm_c: float = _key("svm.c", 1.0, *_POSITIVE)
     svm_tol: float = _key("svm.tol", 1e-3, *_POSITIVE)
@@ -315,7 +316,7 @@ def _kernels(cfg: PipelineConfig, prep: PreparedData, kind: str | None = None):
                                   reps=cfg.qk_reps, entanglement=cfg.qk_entanglement)
     shots = quantum.ShotConfig(cfg.qk_shots, cfg.qk_seed)
     k_train = quantum.kernel_matrix(prep.train.features, spec,
-                                    mode=cfg.qk_mode, shot_config=shots).values
+                                    mode=cfg.qk_mode, shot_config=shots)
     k_cross = quantum.cross_kernel_matrix(prep.test.features, prep.train.features,
                                           spec, mode=cfg.qk_mode, shot_config=shots)
     return k_train, k_cross

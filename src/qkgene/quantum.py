@@ -18,11 +18,13 @@ A feature map's gate list repeats one repetition reps times. Its angle-free
 gates (H and CX) are built once per register size and shared by every row;
 the gates with angles are built once per row and shared by its repetitions.
 
-Kernel values are state fidelities K(x, z) = |<phi(z)|phi(x)>|^2, either
-from cached statevectors (exact) or by sampling the all-zeros outcome of
-the compute-uncompute circuit with a finite shot budget (sampled). An
-exact kernel keeps every row's state, rows x 2^n x 16 bytes, and the
-overlap product conjugates one block of one side's states at a time
+Kernel values are state fidelities K(x, z) = |<phi(z)|phi(x)>|^2, the
+all-zeros probability of the compute-uncompute circuit U(z)^dagger U(x).
+Both modes embed each row once per kernel call and take every overlap from
+the cached statevectors. Exact mode returns them; sampled mode replaces each
+one by the hit rate of a finite shot budget, drawn from a generator seeded
+by (seed, i, j). A kernel keeps every row's state, rows x 2^n x 16 bytes,
+and the overlap product conjugates one block of one side's states at a time
 (about 4 MiB, at least 8 rows).
 """
 from __future__ import annotations
@@ -33,17 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import KernelMatrix
 from .errors import ConfigError, NumericalError
 
 MAX_QUBITS = 24
+MAX_SHOTS = 1_000_000  # one kernel entry draws shots x 8 bytes of uniforms
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 _H_BLOCK = 5  # qubits per Sylvester product in an H layer (fastest of 5-8 at 12-20 qubits)
 _CONJ_BLOCK_BYTES = 4 << 20  # conjugated right-hand states per fidelity product
 _CONJ_BLOCK_ROWS = 8  # a multiple of the BLAS kernels' column unroll
 
 _ARITY = {"h": 1, "phase": 1, "rz": 1, "cx": 2, "ryy": 2}
-_PARAMETRIC = {"phase", "rz", "ryy"}
 
 MAP_KINDS = ("z", "zz", "pauli_zyy")
 
@@ -83,11 +84,6 @@ class Gate:
     @classmethod
     def ryy(cls, a: int, b: int, angle: float) -> "Gate":
         return cls("ryy", (a, b), angle)
-
-    def inverse(self) -> "Gate":
-        if self.kind in _PARAMETRIC:
-            return Gate(self.kind, self.qubits, -self.angle)
-        return self  # h and cx are self-inverse
 
 
 @dataclass
@@ -302,10 +298,6 @@ def run_circuit(gates, n_qubits: int) -> Statevector:
     return state
 
 
-def inverse_circuit(gates) -> list[Gate]:
-    return [g.inverse() for g in reversed(gates)]
-
-
 @dataclass(frozen=True)
 class FeatureMapSpec:
     n_qubits: int
@@ -380,27 +372,29 @@ class ShotConfig:
     seed: int = 10598
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ConfigError("shots must be at least 1")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ConfigError(f"shots must be in 1..{MAX_SHOTS}")
 
 
-def sampled_kernel_entry(x, z, spec: FeatureMapSpec, shot_config: ShotConfig,
-                         rng: np.random.Generator | None = None) -> float:
-    """Estimate the fidelity by measuring the compute-uncompute circuit.
+def _shot_estimate(p0: float, shots: int, rng: np.random.Generator) -> float:
+    """Hit rate of measuring the all-zeros outcome, of probability p0, in shots.
 
     One uniform draw per shot: the all-zeros outcome owns the leading
     interval of the cumulative distribution, so u < p0 is inverse-CDF
     measurement of the full register restricted to the statistic we need.
     Estimates are exact multiples of 1/shots.
     """
+    hits = int(np.sum(rng.random(shots) < p0))
+    return hits / shots
+
+
+def sampled_kernel_entry(x, z, spec: FeatureMapSpec, shot_config: ShotConfig,
+                         rng: np.random.Generator | None = None) -> float:
+    """Estimate the fidelity by measuring the compute-uncompute circuit, whose
+    all-zeros probability is exact_kernel_entry(x, z, spec)."""
     if rng is None:
         rng = np.random.default_rng(shot_config.seed)
-    gates = build_feature_map(spec, x) + inverse_circuit(build_feature_map(spec, z))
-    state = run_circuit(gates, spec.n_qubits)
-    amp0 = state.amplitudes[0]
-    p0 = float(np.clip(amp0.real**2 + amp0.imag**2, 0.0, 1.0))
-    hits = int(np.sum(rng.random(shot_config.shots) < p0))
-    return hits / shot_config.shots
+    return _shot_estimate(exact_kernel_entry(x, z, spec), shot_config.shots, rng)
 
 
 def _fidelity_from_states(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -427,52 +421,48 @@ def _fidelity_from_states(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return K
 
 
-def kernel_matrix(X, spec: FeatureMapSpec, mode: str = "exact",
-                  shot_config: ShotConfig | None = None) -> KernelMatrix:
-    """Square fidelity kernel over the rows of X.
-
-    Exact mode caches one statevector per row; sampled mode seeds every
-    entry independently from (seed, i, j) so the result does not depend on
-    evaluation order, and fills the lower triangle by symmetry.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    n = len(X)
-    if mode == "exact":
-        states = _embedding_matrix(X, spec)
-        K = _fidelity_from_states(states, states)
-        K = np.triu(K, 1)
-        K = K + K.T  # bit-exact symmetry regardless of BLAS summation order
-        np.fill_diagonal(K, 1.0)
-    elif mode == "sampled":
-        if shot_config is None:
-            raise ConfigError("sampled mode needs a ShotConfig")
-        K = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                rng = np.random.default_rng((shot_config.seed, i, j))
-                K[i, j] = K[j, i] = sampled_kernel_entry(X[i], X[j], spec,
-                                                         shot_config, rng=rng)
-    else:
+def _check_mode(mode: str, shot_config: ShotConfig | None) -> None:
+    if mode not in ("exact", "sampled"):
         raise ConfigError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    return KernelMatrix(values=K, sample_ids=np.arange(n))
+    if mode == "sampled" and shot_config is None:
+        raise ConfigError("sampled mode needs a ShotConfig")
+
+
+def _draw_shots(K: np.ndarray, shot_config: ShotConfig, square: bool) -> None:
+    """Replace each fidelity K[i, j], in place, by its shot estimate, drawn
+    from a generator seeded by (seed, i, j), so the result does not depend
+    on evaluation order. A square kernel draws i <= j and mirrors them."""
+    for i in range(K.shape[0]):
+        for j in range(i if square else 0, K.shape[1]):
+            rng = np.random.default_rng((shot_config.seed, i, j))
+            K[i, j] = _shot_estimate(K[i, j], shot_config.shots, rng)
+            if square:
+                K[j, i] = K[i, j]
+
+
+def kernel_matrix(X, spec: FeatureMapSpec, mode: str = "exact",
+                  shot_config: ShotConfig | None = None) -> np.ndarray:
+    """Square fidelity kernel over the rows of X, one cached state per row."""
+    _check_mode(mode, shot_config)
+    X = np.asarray(X, dtype=np.float64)
+    states = _embedding_matrix(X, spec)
+    K = _fidelity_from_states(states, states)
+    K = np.triu(K, 1)
+    K = K + K.T  # bit-exact symmetry regardless of BLAS summation order
+    np.fill_diagonal(K, 1.0)
+    if mode == "sampled":
+        _draw_shots(K, shot_config, square=True)
+    return K
 
 
 def cross_kernel_matrix(X_left, X_right, spec: FeatureMapSpec, mode: str = "exact",
                         shot_config: ShotConfig | None = None) -> np.ndarray:
     """Rectangular fidelity kernel K[i, j] = k(X_left[i], X_right[j])."""
+    _check_mode(mode, shot_config)
     X_left = np.asarray(X_left, dtype=np.float64)
     X_right = np.asarray(X_right, dtype=np.float64)
-    if mode == "exact":
-        return _fidelity_from_states(_embedding_matrix(X_left, spec),
-                                     _embedding_matrix(X_right, spec))
+    K = _fidelity_from_states(_embedding_matrix(X_left, spec),
+                              _embedding_matrix(X_right, spec))
     if mode == "sampled":
-        if shot_config is None:
-            raise ConfigError("sampled mode needs a ShotConfig")
-        K = np.empty((len(X_left), len(X_right)))
-        for i in range(len(X_left)):
-            for j in range(len(X_right)):
-                rng = np.random.default_rng((shot_config.seed, i, j))
-                K[i, j] = sampled_kernel_entry(X_left[i], X_right[j], spec,
-                                               shot_config, rng=rng)
-        return K
-    raise ConfigError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+        _draw_shots(K, shot_config, square=False)
+    return K

@@ -18,7 +18,7 @@ import scipy.linalg
 
 from qkgene.data_io import SplitSpec, split_indices
 from qkgene.errors import ConfigError
-from qkgene.quantum import Gate, _apply_inplace, zero_state
+from qkgene.quantum import Gate, _apply_inplace, build_feature_map, run_circuit, zero_state
 
 RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -168,6 +168,46 @@ def gatewise_kernel(left, right, spec) -> np.ndarray:
 
     right_states = states(right)
     return np.array([[abs(np.vdot(z, x)) ** 2 for z in right_states] for x in states(left)])
+
+
+def inverse_gate(gate: Gate) -> Gate:
+    """The gate's inverse: negated angle for PHASE, RZ and RYY; H and CX are
+    self-inverse."""
+    if gate.kind in ("phase", "rz", "ryy"):
+        return Gate(gate.kind, gate.qubits, -gate.angle)
+    return gate
+
+
+def inverse_circuit(gates) -> list:
+    return [inverse_gate(g) for g in reversed(gates)]
+
+
+def sampled_kernel_entry_circuit(x, z, spec, shots: int, rng: np.random.Generator) -> float:
+    """A kernel entry measured the way the paper estimates it: simulate the
+    compute-uncompute circuit U(z)^dagger U(x)|0>, read the all-zeros
+    probability off its first amplitude, and count the shots whose uniform
+    draw u falls below it."""
+    gates = build_feature_map(spec, x) + inverse_circuit(build_feature_map(spec, z))
+    amp0 = run_circuit(gates, spec.n_qubits).amplitudes[0]
+    p0 = float(np.clip(amp0.real**2 + amp0.imag**2, 0.0, 1.0))
+    return int(np.sum(rng.random(shots) < p0)) / shots
+
+
+def sampled_kernel_circuit(left, right, spec, shots: int, seed: int) -> np.ndarray:
+    """K[i, j] = sampled_kernel_entry_circuit(left[i], right[j]) with the
+    generator seeded by (seed, i, j), one circuit per pair. When right is
+    None the kernel is square over left: only i <= j is measured and the
+    lower triangle mirrors it."""
+    square = right is None
+    right = left if square else right
+    K = np.empty((len(left), len(right)))
+    for i, x in enumerate(left):
+        for j in range(i if square else 0, len(right)):
+            rng = np.random.default_rng((seed, i, j))
+            K[i, j] = sampled_kernel_entry_circuit(x, right[j], spec, shots, rng)
+            if square:
+                K[j, i] = K[i, j]
+    return K
 
 
 def project_box_hyperplane(v: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:

@@ -73,14 +73,14 @@ def test_criterion_02_kernel_axioms_and_product_structure():
         X = rng.uniform(0.0, math.pi, (10, 4))
         for kind in ("z", "zz", "pauli_zyy"):
             spec = FeatureMapSpec(4, kind, reps=2)
-            K = kernel_matrix(X, spec).values
+            K = kernel_matrix(X, spec)
             assert np.array_equal(K, K.T)
             assert np.all(np.diag(K) == 1.0)
             assert float(np.linalg.eigvalsh(K).min()) >= -1e-9
 
         # the non-entangling map embeds each coordinate independently, so its
         # kernel must be the product of per-coordinate kernels
-        full = kernel_matrix(X, FeatureMapSpec(4, "z", reps=2)).values
+        full = kernel_matrix(X, FeatureMapSpec(4, "z", reps=2))
         single = FeatureMapSpec(1, "z", reps=2)
         for i in range(10):
             for j in range(10):

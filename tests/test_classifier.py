@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkgene.classifier import (
-    KernelMatrix,
     clip_kernel_psd,
     decision_function,
     dual_objective,
@@ -127,9 +126,8 @@ class TestSmoTrain:
         with pytest.raises(NumericalError):
             smo_train(K, np.array([1, -1, 1]))
 
-    def test_kernel_matrix_wrapper_accepted(self):
-        km = KernelMatrix(values=np.eye(2), sample_ids=np.arange(2))
-        model = smo_train(km, np.array([1, -1]), c=10.0, tol=1e-8)
+    def test_array_like_kernel_accepted(self):
+        model = smo_train([[1.0, 0.0], [0.0, 1.0]], [1, -1], c=10.0, tol=1e-8)
         np.testing.assert_allclose(model.alphas, [1.0, 1.0], atol=1e-8)
 
     @given(seed=st.integers(0, 10_000), n=st.integers(4, 10))

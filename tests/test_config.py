@@ -174,6 +174,7 @@ class TestCliConfigErrors:
         (["svm.tol=nan"], "svm.tol"),
         (["scale.hi=inf"], "scale.hi"),
         (["fitness.evaluator=svm"], "fitness.evaluator"),
+        (["qk.mode=sampled", "qk.shots=1000000000000"], "qk.shots"),
     ])
     def test_bad_value_is_one_line_naming_its_key(self, tmp_path, csv_path, settings_, key):
         argv = ["run-all", "--data", csv_path, "--out", str(tmp_path / "out"),

@@ -12,6 +12,7 @@ from qkgene.errors import ConfigError
 from qkgene.quantum import (
     MAP_KINDS,
     MAX_QUBITS,
+    MAX_SHOTS,
     FeatureMapSpec,
     Gate,
     ShotConfig,
@@ -23,7 +24,6 @@ from qkgene.quantum import (
     cross_kernel_matrix,
     embedding_state,
     exact_kernel_entry,
-    inverse_circuit,
     kernel_matrix,
     run_circuit,
     sampled_kernel_entry,
@@ -39,7 +39,9 @@ from oracles import (
     dense_h,
     dense_phase,
     gatewise_kernel,
+    inverse_circuit,
     run_circuit_gatewise,
+    sampled_kernel_circuit,
 )
 
 RSQRT2 = 2 ** -0.5
@@ -109,7 +111,7 @@ def fusion_circuits(draw):
             gates += [Gate.h(q) for q in order[cut:]]
         elif block == "repeated_qubit_layer":
             gates += [Gate.h(q) for q in order[:-1] + [a]]
-        else:  # sampled_circuit: what sampled mode runs for one kernel entry
+        else:  # sampled_circuit: one kernel entry's compute-uncompute circuit
             kind = draw(st.sampled_from(("z", "zz", "pauli_zyy")[:1 if n == 1 else 3]))
             spec = FeatureMapSpec(n, kind, reps=draw(st.integers(1, 2)))
             x, z = (draw(st.lists(ANGLES, min_size=n, max_size=n)) for _ in range(2))
@@ -153,7 +155,7 @@ class TestGateFusion:
         spec = FeatureMapSpec(n, kind, reps=2)
         train = rng.uniform(0, math.pi, size=(4, n))
         test = rng.uniform(0, math.pi, size=(3, n))
-        np.testing.assert_allclose(kernel_matrix(train, spec).values,
+        np.testing.assert_allclose(kernel_matrix(train, spec),
                                    gatewise_kernel(train, train, spec), rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(cross_kernel_matrix(test, train, spec),
                                    gatewise_kernel(test, train, spec), rtol=0.0, atol=1e-12)
@@ -408,41 +410,45 @@ class TestSampledKernel:
 
 class TestKernelMatrices:
     def test_single_row(self):
-        km = kernel_matrix(np.array([[0.5, 0.7]]), FeatureMapSpec(2, "zz", reps=1))
-        np.testing.assert_array_equal(km.values, [[1.0]])
+        K = kernel_matrix(np.array([[0.5, 0.7]]), FeatureMapSpec(2, "zz", reps=1))
+        np.testing.assert_array_equal(K, [[1.0]])
 
     def test_exact_mode_bit_exact_symmetry(self):
         rng = np.random.default_rng(10)
         X = rng.uniform(0, math.pi, size=(7, 3))
-        km = kernel_matrix(X, FeatureMapSpec(3, "zz", reps=2))
-        assert np.array_equal(km.values, km.values.T)
-        np.testing.assert_array_equal(np.diag(km.values), np.ones(7))
+        K = kernel_matrix(X, FeatureMapSpec(3, "zz", reps=2))
+        assert np.array_equal(K, K.T)
+        np.testing.assert_array_equal(np.diag(K), np.ones(7))
 
     def test_exact_mode_positive_semidefinite(self):
         rng = np.random.default_rng(11)
         X = rng.uniform(0, math.pi, size=(6, 4))
-        km = kernel_matrix(X, FeatureMapSpec(4, "zz", reps=2))
-        values, _vectors = symmetric_eigendecomposition(km.values)
+        K = kernel_matrix(X, FeatureMapSpec(4, "zz", reps=2))
+        values, _vectors = symmetric_eigendecomposition(K)
         assert values[-1] >= -1e-9
 
     def test_sampled_mode_symmetric_and_quantized(self):
         rng = np.random.default_rng(12)
         X = rng.uniform(0, math.pi, size=(4, 2))
-        km = kernel_matrix(X, FeatureMapSpec(2, "zz", reps=1), mode="sampled",
-                           shot_config=ShotConfig(shots=50, seed=3))
-        assert np.array_equal(km.values, km.values.T)
-        np.testing.assert_allclose(km.values * 50, np.round(km.values * 50),
-                                   atol=1e-12)
+        K = kernel_matrix(X, FeatureMapSpec(2, "zz", reps=1), mode="sampled",
+                          shot_config=ShotConfig(shots=50, seed=3))
+        assert np.array_equal(K, K.T)
+        np.testing.assert_allclose(K * 50, np.round(K * 50), atol=1e-12)
 
     def test_sampled_mode_requires_config(self):
         with pytest.raises(ConfigError):
             kernel_matrix(np.zeros((2, 2)), FeatureMapSpec(2, "zz"), mode="sampled")
 
+    def test_shot_config_caps_shots(self):
+        assert ShotConfig(shots=MAX_SHOTS).shots == MAX_SHOTS
+        with pytest.raises(ConfigError, match=r"^shots must be in 1\.\.1000000$"):
+            ShotConfig(shots=MAX_SHOTS + 1)
+
     def test_cross_on_same_inputs_equals_square(self):
         rng = np.random.default_rng(13)
         X = rng.uniform(0, math.pi, size=(5, 2))
         spec = FeatureMapSpec(2, "pauli_zyy", reps=2)
-        square = kernel_matrix(X, spec).values
+        square = kernel_matrix(X, spec)
         cross = cross_kernel_matrix(X, X, spec)
         np.testing.assert_allclose(cross, square, atol=1e-12)
 
@@ -495,10 +501,12 @@ class TestKernelMatrices:
             tracemalloc.stop()
         assert peak < right.nbytes // 8
 
-    def test_exact_kernels_run_one_circuit_per_row(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_kernels_run_one_circuit_per_row(self, monkeypatch, mode):
         """perfbench's trace self-check counts `quantum.run_circuit` calls and
-        expects 2·n_train + n_test of them, each the full feature-map gate list
-        of one row. ROADMAP item 1 is where that count may be redefined."""
+        expects 2·n_train + n_test of them in exact mode, each the full
+        feature-map gate list of one row. Sampled mode draws its shots from
+        the same overlaps, so it runs the same circuits."""
         calls = []
         original = quantum.run_circuit
 
@@ -509,10 +517,11 @@ class TestKernelMatrices:
         monkeypatch.setattr(quantum, "run_circuit", counting)
         rng = np.random.default_rng(15)
         spec = FeatureMapSpec(3, "zz", reps=2)
+        shots = ShotConfig(shots=10, seed=4)
         train = rng.uniform(0, math.pi, size=(5, 3))
         test = rng.uniform(0, math.pi, size=(2, 3))
-        kernel_matrix(train, spec)
-        cross_kernel_matrix(test, train, spec)
+        kernel_matrix(train, spec, mode=mode, shot_config=shots)
+        cross_kernel_matrix(test, train, spec, mode=mode, shot_config=shots)
         assert len(calls) == 2 * len(train) + len(test)
         expect = Counter((tuple(build_feature_map(spec, x)), 3)
                          for x in [*train, *test, *train])
@@ -525,6 +534,31 @@ class TestKernelMatrices:
         x = rng.uniform(0, math.pi, size=3)
         state = embedding_state(x, FeatureMapSpec(3, "pauli_zyy", reps=reps))
         assert state.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestSampledMatchesCircuit:
+    """Sampled kernels draw their shots from the cached-state overlaps; the
+    oracle measures one compute-uncompute circuit per entry. With the same
+    (seed, i, j) generators every estimate is the same float."""
+
+    @pytest.mark.parametrize("kind, n", [("z", n) for n in range(1, 7)]
+                             + [(kind, n) for kind in ("zz", "pauli_zyy") for n in range(2, 7)])
+    def test_entries_equal_oracle_bit_for_bit(self, kind, n):
+        rng = np.random.default_rng(100 + n)
+        spec = FeatureMapSpec(n, kind, reps=2)
+        train = rng.uniform(0, math.pi, size=(5, n))
+        train[3] = train[1]  # an off-diagonal pair of equal rows
+        test = rng.uniform(0, math.pi, size=(3, n))
+        for shots in (1, 7, 100, 1000):
+            for seed in (0, 7, 10598):
+                config = ShotConfig(shots=shots, seed=seed)
+                square = kernel_matrix(train, spec, mode="sampled", shot_config=config)
+                cross = cross_kernel_matrix(test, train, spec, mode="sampled",
+                                            shot_config=config)
+                assert square.tobytes() == sampled_kernel_circuit(
+                    train, None, spec, shots, seed).tobytes(), (shots, seed)
+                assert cross.tobytes() == sampled_kernel_circuit(
+                    test, train, spec, shots, seed).tobytes(), (shots, seed)
 
 
 class TestEmbeddingGolden:
@@ -563,4 +597,4 @@ class TestEmbeddingGolden:
         spec = FeatureMapSpec(n, kind, reps=3)
         states, kernel = self.GOLDEN[kind, n]
         assert hashlib.sha256(_embedding_matrix(X, spec).tobytes()).hexdigest() == states
-        assert hashlib.sha256(kernel_matrix(X, spec).values.tobytes()).hexdigest() == kernel
+        assert hashlib.sha256(kernel_matrix(X, spec).tobytes()).hexdigest() == kernel
