@@ -4,7 +4,7 @@ Each subcommand names a stage of pipeline.run, which recomputes the
 pipeline deterministically from the config up to that stage and writes the
 stage's artifacts, so stages can be inspected independently without an
 artifact-passing protocol. Exit codes: 0 success, 1 configuration error,
-2 data error, 3 numerical failure.
+2 data error, 3 numerical failure or out of memory.
 """
 from __future__ import annotations
 
@@ -94,6 +94,10 @@ def main(argv=None) -> int:
         return 2
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # each qubit, that is each unit of pca.k, doubles every state
+        print(f"numerical failure: out of memory ({exc or 'allocation failed'}); "
+              "lower pca.k to halve the quantum states per step", file=sys.stderr)
         return 3
     except OSError as exc:  # reading inputs raises the errors above, so this is a write
         print(f"config error: cannot write to out.dir: {exc}", file=sys.stderr)

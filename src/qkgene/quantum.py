@@ -6,17 +6,21 @@ reshaping the amplitude vector, never on full 2^n x 2^n matrices, which
 keeps circuits with around 20 qubits feasible. The supported gate set is
 exactly what the embeddings need: H, PHASE, RZ, CX, RYY.
 
-run_circuit fuses gates while it walks the list. n consecutive H gates on
-n distinct qubits are one H^(x)n layer, applied as a few matrix products
-with small Sylvester Hadamard matrices. Consecutive PHASE, RZ and
-CX(a,b)·RZ(b,φ)·CX(a,b) gates fold into angles over the two halves of the
-register and are applied as two broadcast multiplies of the state. Every
-other gate is applied on its own. A circuit peaks at under three states:
-its own plus an H layer's product, the norm check or a lone gate's blocks.
+run_circuit compiles the gate list into fused ops, then applies them. n
+consecutive H gates on n distinct qubits are one H^(x)n layer, applied as a
+few matrix products with small Sylvester Hadamard matrices. Consecutive
+PHASE, RZ and CX(a,b)·RZ(b,φ)·CX(a,b) gates fold into phase factors over
+the two halves of the register, applied as two broadcast multiplies of the
+state. Every other gate is applied on its own. An H layer on |0...0> is a
+constant fill. A circuit peaks at under two and a half states: its own plus
+an H layer's product or a lone gate's blocks. A compiled op holds at most
+2^ceil(n/2) + 2^floor(n/2) amplitudes and lives only during the call.
 
 A feature map's gate list repeats one repetition reps times. Its angle-free
 gates (H and CX) are built once per register size and shared by every row;
 the gates with angles are built once per row and shared by its repetitions.
+run_circuit finds that repetition by object identity, compiles it once and
+applies its ops reps times.
 
 Kernel values are state fidelities K(x, z) = |<phi(z)|phi(x)>|^2, the
 all-zeros probability of the compute-uncompute circuit U(z)^dagger U(x).
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +61,15 @@ class Gate:
     angle: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
-            raise ConfigError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != _ARITY[self.kind]:
-            raise ConfigError(f"{self.kind} gate takes {_ARITY[self.kind]} qubit(s)")
-        if len(set(self.qubits)) != len(self.qubits):
+        qubits = self.qubits
+        arity = _ARITY.get(self.kind)
+        if arity != len(qubits):
+            if arity is None:
+                raise ConfigError(f"unknown gate kind {self.kind!r}")
+            raise ConfigError(f"{self.kind} gate takes {arity} qubit(s)")
+        if arity == 2 and qubits[0] == qubits[1]:
             raise ConfigError("gate qubits must be distinct")
-        if any(q < 0 for q in self.qubits):
+        if qubits[0] < 0 or qubits[-1] < 0:
             raise ConfigError("gate qubits must be non-negative")
 
     @classmethod
@@ -97,12 +104,16 @@ class Statevector:
             raise ConfigError("amplitude length must be 2**n_qubits")
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.amplitudes.real**2 + self.amplitudes.imag**2)))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
+
+
+def _check_qubits(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}")
 
 
 def zero_state(n_qubits: int) -> Statevector:
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}")
+    _check_qubits(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return Statevector(amps, n_qubits)
@@ -200,33 +211,53 @@ def _hadamard_layer(amps: np.ndarray, n_qubits: int) -> None:
 _PARITY = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _diagonal_run(amps: np.ndarray, gates, i: int, n_qubits: int) -> int:
-    """Multiply amps, in place, by the phases of the run of diagonal gates
-    that starts at gates[i], and return the index after the run.
+def _uniform_amplitude(n_qubits: int) -> float:
+    """The amplitude _hadamard_layer gives every basis state of |0...0>.
+
+    The lowest block's product leaves the first row of its Sylvester matrix,
+    and each higher block multiplies by its matrix's first column, adding
+    only signed zeros, so every amplitude is the product of the blocks'
+    scales taken in block order, with a +0 imaginary part."""
+    amp = 1.0
+    for start in range(0, n_qubits, _H_BLOCK):
+        amp *= _sylvester(min(_H_BLOCK, n_qubits - start))[0, 0]
+    return amp
+
+
+def _diagonal_op(gates, i: int, n_qubits: int):
+    """The op multiplying a state, in place, by the phases of the run of
+    diagonal gates that starts at gates[i], and the index after the run.
 
     The run folds into angles: basis state j gets the phase offset +
     sum_q slope[q]·bit_q(j) + sum_k w_k·parity(a_k, b_k)(j). PHASE(q,φ) adds
     φ to slope[q], RZ(q,φ) also adds -φ/2 to offset, and CX(a,b)·RZ(b,φ)·CX(a,b),
     whose phase is φ·(parity(a,b) - 1/2), adds the pair term (a, b, φ) and
-    -φ/2 to offset. The state is multiplied by exp(1j·angles) over the high
-    and over the low half of the register, then by one broadcast 2x2 factor
-    for each pair term with a qubit in each half.
+    -φ/2 to offset. The op multiplies the state by exp(1j·angles) over the
+    high and over the low half of the register, then by one broadcast 2x2
+    factor for each pair term with a qubit in each half. The factors are
+    computed here, once: 2^ceil(n/2) + 2^floor(n/2) amplitudes and a 2x2
+    table per cross pair.
     """
     offset = 0.0
     slope = np.zeros(n_qubits)
     pairs = []
-    while i < len(gates) and (size := _diagonal_size(gates, i)):
+    while i < len(gates):
         gate = gates[i]
-        _check_register(gate, n_qubits)
-        if size == 1:
+        kind = gate.kind
+        if kind == "phase" or kind == "rz":
+            _check_register(gate, n_qubits)
             slope[gate.qubits[0]] += gate.angle
-            if gate.kind == "rz":
+            if kind == "rz":
                 offset -= 0.5 * gate.angle
-        else:
+            i += 1
+        elif _is_sandwich(gates, i):
+            _check_register(gate, n_qubits)
             phi = gates[i + 1].angle
             pairs.append((*sorted(gate.qubits), phi))
             offset -= 0.5 * phi
-        i += size
+            i += 3
+        else:
+            break
     pairs = np.array(pairs).reshape(-1, 3)
     a, b, w = pairs[:, 0].astype(np.intp), pairs[:, 1].astype(np.intp), pairs[:, 2]
     n_lo = n_qubits // 2
@@ -234,13 +265,21 @@ def _diagonal_run(amps: np.ndarray, gates, i: int, n_qubits: int) -> int:
     cross = ~(low | high)
     hi_angles = _half_angles(slope[n_lo:], a[high] - n_lo, b[high] - n_lo, w[high])
     lo_angles = _half_angles(slope[:n_lo], a[low], b[low], w[low]) + offset
-    halves = amps.reshape(-1, 1 << n_lo)
-    halves *= np.exp(1j * hi_angles)[:, None]
-    halves *= np.exp(1j * lo_angles)
-    for qa, qb, weight in zip(a[cross], b[cross], w[cross]):
-        view = amps.reshape(-1, 2, 1 << (qb - qa - 1), 2, 1 << qa)
-        view *= np.exp(1j * weight * _PARITY)[:, None, :, None]
-    return i
+    hi_factor = np.exp(1j * hi_angles)[:, None]
+    lo_factor = np.exp(1j * lo_angles)
+    cross_factors = [((-1, 2, 1 << (qb - qa - 1), 2, 1 << qa),
+                      np.exp(1j * weight * _PARITY)[:, None, :, None])
+                     for qa, qb, weight in zip(a[cross], b[cross], w[cross])]
+
+    def apply(amps: np.ndarray, _n_qubits: int) -> None:
+        halves = amps.reshape(-1, 1 << n_lo)
+        halves *= hi_factor
+        halves *= lo_factor
+        for shape, factor in cross_factors:
+            view = amps.reshape(shape)
+            view *= factor
+
+    return apply, i
 
 
 def _half_angles(slope: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -250,17 +289,13 @@ def _half_angles(slope: np.ndarray, a: np.ndarray, b: np.ndarray,
     return bits @ slope + (bits[:, a] ^ bits[:, b]) @ weight
 
 
-def _diagonal_size(gates, i: int) -> int:
-    """1 if gates[i] is PHASE or RZ, 3 if gates[i:i+3] is CX(a,b), RZ(b,φ),
-    CX(a,b), else 0."""
-    gate = gates[i]
-    if gate.kind in ("phase", "rz"):
-        return 1
-    if gate.kind == "cx" and i + 2 < len(gates):
-        rz = gates[i + 1]
-        if rz.kind == "rz" and rz.qubits[0] == gate.qubits[1] and gates[i + 2] == gate:
-            return 3
-    return 0
+def _is_sandwich(gates, i: int) -> bool:
+    """gates[i:i+3] is CX(a,b), RZ(b,φ), CX(a,b)."""
+    if i + 2 >= len(gates):
+        return False
+    cx, rz, last = gates[i], gates[i + 1], gates[i + 2]
+    return (cx.kind == "cx" and rz.kind == "rz" and rz.qubits[0] == cx.qubits[1]
+            and (last is cx or last == cx))
 
 
 def _is_layer(gates, i: int, n_qubits: int) -> bool:
@@ -270,28 +305,77 @@ def _is_layer(gates, i: int, n_qubits: int) -> bool:
             and {g.qubits[0] for g in layer if g.kind == "h"} == set(range(n_qubits)))
 
 
+def _compile(gates, n_qubits: int, start: int, stop: int):
+    """The fused ops of the walk over gates that begin at start and before
+    stop, and the index where the last of them ends. Each op is called as
+    op(amps, n_qubits). The walk looks at the whole list, so a diagonal run
+    or an H layer that begins before stop may end after it."""
+    ops = []
+    i = start
+    while i < stop:
+        gate = gates[i]
+        if gate.kind == "phase" or gate.kind == "rz" or _is_sandwich(gates, i):
+            op, i = _diagonal_op(gates, i, n_qubits)
+        elif gate.kind == "h" and _is_layer(gates, i, n_qubits):
+            op = _hadamard_layer
+            i += n_qubits
+        else:
+            _check_register(gate, n_qubits)
+            op = functools.partial(_apply_inplace, gate=gate)
+            i += 1
+        ops.append(op)
+    return ops, i
+
+
+def _period(gates) -> int:
+    """Length of the shortest segment that gates is, as the same objects,
+    repeated a whole number of times; len(gates) when there is none."""
+    size = len(gates)
+    for period in range(1, size // 2 + 1):
+        if (size % period == 0 and gates[period] is gates[0]
+                and all(map(operator.is_, gates[period:], gates))):
+            return period
+    return size
+
+
+def _fused_ops(gates, n_qubits: int) -> list:
+    """The fused ops of the whole gate list, in order.
+
+    When the list repeats one segment as the same objects, only the first
+    copy is walked, in the context of the whole list, and its ops are
+    repeated. That is exact when the first copy's last op ends at the cut.
+    Every later copy then walks the same way: a look-ahead across a cut (a
+    diagonal run going on, a CX·RZ·CX or an H layer starting) reads the
+    same gates as in the first copy, or fewer at the end of the list, and
+    fewer can only answer no, as the first copy's walk did. Otherwise the
+    walk goes on through the whole list."""
+    period = _period(gates)
+    ops, end = _compile(gates, n_qubits, 0, period)
+    if end != period:
+        return ops + _compile(gates, n_qubits, end, len(gates))[0]
+    return ops * (len(gates) // max(period, 1))  # an empty list has period 0
+
+
 def run_circuit(gates, n_qubits: int) -> Statevector:
     """Final state of the gates applied to |0...0>.
 
     Equal to applying the gates one at a time, with fusion: n consecutive H
     gates on n distinct qubits of an n-qubit register are one H^(x)n layer,
     and consecutive PHASE, RZ and CX·RZ·CX sandwich gates are folded into
-    one diagonal (see _diagonal_run). Every other gate runs on its own.
+    one diagonal (see _diagonal_op). Every other gate runs on its own. A
+    segment repeated as the same objects is compiled once (see _fused_ops),
+    and a leading H layer on |0...0> is a constant fill.
     """
-    gates = list(gates)
-    state = zero_state(n_qubits)
-    amps = state.amplitudes
-    i = 0
-    while i < len(gates):
-        gate = gates[i]
-        if _diagonal_size(gates, i):
-            i = _diagonal_run(amps, gates, i, n_qubits)
-        elif gate.kind == "h" and _is_layer(gates, i, n_qubits):
-            _hadamard_layer(amps, n_qubits)
-            i += n_qubits
-        else:
-            _apply_inplace(amps, n_qubits, gate)
-            i += 1
+    _check_qubits(n_qubits)
+    ops = _fused_ops(list(gates), n_qubits)
+    if ops and ops[0] is _hadamard_layer:
+        amps = np.full(1 << n_qubits, _uniform_amplitude(n_qubits), dtype=np.complex128)
+        ops = ops[1:]
+    else:
+        amps = zero_state(n_qubits).amplitudes
+    for op in ops:
+        op(amps, n_qubits)
+    state = Statevector(amps, n_qubits)
     norm = state.norm()
     if abs(norm - 1.0) > 1e-9:
         raise NumericalError(f"statevector norm drifted to {norm}")
@@ -306,8 +390,7 @@ class FeatureMapSpec:
     entanglement: str = "linear"
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}")
+        _check_qubits(self.n_qubits)
         if self.kind not in MAP_KINDS:
             raise ConfigError(f"kind must be one of {MAP_KINDS}, got {self.kind!r}")
         if self.kind in ("zz", "pauli_zyy") and self.n_qubits < 2:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qkgene import cli, pipeline
+from qkgene import cli, pipeline, quantum
 from qkgene.data_io import LabeledDataset
 from qkgene.errors import ConfigError
 from qkgene.pipeline import (
@@ -387,6 +387,25 @@ class TestCli:
             "--set", "data.positive_label=1",
         )
         assert code == 3
+
+    def test_out_of_memory_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        """A state array too large to allocate ends in one line that names
+        pca.k, the key that sizes every state, not in a traceback."""
+        def no_memory(X, spec):
+            raise MemoryError("Unable to allocate 11.5 GiB for an array with shape "
+                              "(46, 16777216) and data type complex128")
+
+        monkeypatch.setattr(quantum, "_embedding_matrix", no_memory)
+        csv_path = dataset_to_csv(blob_data(), tmp_path / "blobs.csv")
+        code = self.run_cli(
+            "run-all", "--data", str(csv_path), "--out", str(tmp_path / "out"),
+            "--no-selection", "--set", "pca.k=2", "--set", "data.positive_label=1",
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: out of memory (Unable to allocate 11.5 GiB")
+        assert "pca.k" in err
+        assert err.count("\n") == 1
 
     def test_bad_set_syntax(self, capsys):
         code = self.run_cli("run-all", "--set", "notakeyvalue")

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qkgene import quantum
 from qkgene.errors import ConfigError
@@ -41,6 +41,7 @@ from oracles import (
     gatewise_kernel,
     inverse_circuit,
     run_circuit_gatewise,
+    run_circuit_walk,
     sampled_kernel_circuit,
 )
 
@@ -119,6 +120,28 @@ def fusion_circuits(draw):
     return gates, n
 
 
+@st.composite
+def repeated_segments(draw):
+    """(gates, n_qubits): a random segment repeated 1-4 times as the same
+    objects. The segment is a random circuit rotated by a random offset, so
+    its ends can cut a diagonal run, an H layer or a CX·RZ·CX sandwich."""
+    gates, n = draw(fusion_circuits())
+    cut = draw(st.integers(0, len(gates)))
+    return (gates[cut:] + gates[:cut]) * draw(st.integers(1, 4)), n
+
+
+@st.composite
+def maps_with_edge_rows(draw):
+    """(spec, x): every map on 1-14 qubits with 1-4 repetitions, and rows
+    whose features include the scale range's ends 0 and pi."""
+    kind = draw(st.sampled_from(MAP_KINDS))
+    n = draw(st.integers(1 if kind == "z" else 2, 14))
+    spec = FeatureMapSpec(n, kind, reps=draw(st.integers(1, 4)))
+    x = draw(st.lists(st.sampled_from([0.0, math.pi]) | st.floats(0.0, math.pi),
+                      min_size=n, max_size=n))
+    return spec, x
+
+
 # 0.0, -0.0 and pi are the scale range's ends; 1e-300 and +-1e300 make the
 # pair products underflow and overflow; NaN must pass through unchanged.
 SPECIAL_X = st.sampled_from([0.0, -0.0, math.pi, 1e-300, 1e300, -1e300, math.nan])
@@ -160,6 +183,38 @@ class TestGateFusion:
         np.testing.assert_allclose(cross_kernel_matrix(test, train, spec),
                                    gatewise_kernel(test, train, spec), rtol=0.0, atol=1e-12)
 
+    @given(repeated_segments())
+    @settings(max_examples=300, deadline=None)
+    @example(([Gate.phase(0, 0.3)] * 4, 1))  # one diagonal run across every cut
+    @example(([Gate.h(1), Gate.phase(0, 0.3), Gate.h(0)] * 3, 2))  # layer across each cut
+    @example(([Gate.rz(1, 0.2), Gate.cx(0, 1)] * 3, 2))  # sandwich across the first cut
+    @example(([Gate.h(0), Gate.h(1)] * 2, 3))  # partial H runs
+    def test_repeated_segments_equal_walk_oracle(self, circuit):
+        """A list that repeats one segment is compiled once only where the
+        walk over the whole list cuts at the segment's end; either way the
+        state is byte-equal to walking the whole list."""
+        gates, n = circuit
+        assert run_circuit(gates, n).amplitudes.tobytes() == run_circuit_walk(
+            gates, n).amplitudes.tobytes()
+
+    @given(maps_with_edge_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_feature_maps_equal_walk_oracle(self, case):
+        """Every map, 1-14 qubits and 1-4 repetitions: the state from one
+        compiled repetition, applied reps times after a constant fill, is
+        byte-equal to walking the whole list."""
+        spec, x = case
+        gates = build_feature_map(spec, x)
+        assert run_circuit(gates, spec.n_qubits).amplitudes.tobytes() == run_circuit_walk(
+            gates, spec.n_qubits).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_leading_layer_is_a_fill(self, n):
+        amps = zero_state(n).amplitudes
+        quantum._hadamard_layer(amps, n)
+        gates = [Gate.h(q) for q in range(n)]
+        assert run_circuit(gates, n).amplitudes.tobytes() == amps.tobytes()
+
     def test_diagonal_gate_bounds_checked(self):
         for run in ([Gate.phase(2, 0.3)], [Gate.rz(1, 0.2), Gate.rz(5, 0.3)],
                     [Gate.cx(0, 2), Gate.rz(2, 0.3), Gate.cx(0, 2)]):
@@ -177,6 +232,25 @@ class TestGateValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             Gate(kind="toffoli", qubits=(0, 1), angle=None)
+
+    @pytest.mark.parametrize("kind, qubits, message", [
+        ("toffoli", (0, 1, 2), "unknown gate kind 'toffoli'"),
+        ("h", (0, 1), "h gate takes 1 qubit(s)"),
+        ("phase", (), "phase gate takes 1 qubit(s)"),
+        ("cx", (2,), "cx gate takes 2 qubit(s)"),
+        ("ryy", (0, 1, 2), "ryy gate takes 2 qubit(s)"),
+        ("cx", (3, 3), "gate qubits must be distinct"),
+        ("rz", (-1,), "gate qubits must be non-negative"),
+        ("cx", (-1, 2), "gate qubits must be non-negative"),
+        ("ryy", (0, -2), "gate qubits must be non-negative"),
+        ("ryy", (-1, -1), "gate qubits must be distinct"),
+    ])
+    def test_each_error_has_its_message(self, kind, qubits, message):
+        """Wrong arity and a negative qubit are rejected too, and every check
+        runs in order: kind, arity, distinct qubits, sign."""
+        with pytest.raises(ConfigError) as err:
+            Gate(kind, qubits, 0.5)
+        assert str(err.value) == message
 
     def test_qubit_bounds_checked_at_run(self):
         with pytest.raises(ConfigError):
@@ -233,6 +307,25 @@ class TestSimulator:
         gates = [random_gate(rng, 2) for _ in range(20)]
         state = run_circuit(gates, 2)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_circuit_keeps_no_state_alive(self, kind):
+        """One 14-qubit circuit peaks under 2.5 states: its own plus one H
+        layer product or a lone RYY gate's blocks. Once its result is
+        dropped, nothing state-sized stays allocated."""
+        gates = build_feature_map(FeatureMapSpec(14, kind, reps=3), np.linspace(0.0, 3.0, 14))
+        run_circuit(gates, 14)  # warm the Sylvester and bit-table caches
+        state_bytes = 16 << 14
+        tracemalloc.start()
+        try:
+            state = run_circuit(gates, 14)
+            _current, peak = tracemalloc.get_traced_memory()
+            del state
+            left, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * state_bytes
+        assert left < state_bytes // 8
 
     def test_qubit_count_limits(self):
         with pytest.raises(ConfigError):
@@ -503,29 +596,43 @@ class TestKernelMatrices:
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_kernels_run_one_circuit_per_row(self, monkeypatch, mode):
-        """perfbench's trace self-check counts `quantum.run_circuit` calls and
-        expects 2·n_train + n_test of them in exact mode, each the full
-        feature-map gate list of one row. Sampled mode draws its shots from
-        the same overlaps, so it runs the same circuits."""
-        calls = []
-        original = quantum.run_circuit
+        """perfbench's trace self-check wraps `quantum.build_feature_map` and
+        `quantum.run_circuit` through their module attributes. It counts the
+        run_circuit calls and their gates, and expects 2·n_train + n_test
+        circuits in exact mode, each the full feature-map gate list of one
+        row. Sampled mode draws its shots from the same overlaps, so it runs
+        the same circuits. A change that passed this suite once still failed
+        that traced run on its circuit count, so the wrappers here take
+        positional arguments the way the tracer's do, at the 12 qubits of the
+        kernel_exact workload as well."""
+        for n in (3, 12):
+            built, calls = [], []
+            original_build, original_run = quantum.build_feature_map, quantum.run_circuit
 
-        def counting(gates, n_qubits):
-            calls.append((tuple(gates), n_qubits))
-            return original(gates, n_qubits)
+            def traced_build_feature_map(spec, x):
+                built.append(np.asarray(x, dtype=np.float64).tobytes())
+                return original_build(spec, x)
 
-        monkeypatch.setattr(quantum, "run_circuit", counting)
-        rng = np.random.default_rng(15)
-        spec = FeatureMapSpec(3, "zz", reps=2)
-        shots = ShotConfig(shots=10, seed=4)
-        train = rng.uniform(0, math.pi, size=(5, 3))
-        test = rng.uniform(0, math.pi, size=(2, 3))
-        kernel_matrix(train, spec, mode=mode, shot_config=shots)
-        cross_kernel_matrix(test, train, spec, mode=mode, shot_config=shots)
-        assert len(calls) == 2 * len(train) + len(test)
-        expect = Counter((tuple(build_feature_map(spec, x)), 3)
-                         for x in [*train, *test, *train])
-        assert Counter(calls) == expect
+            def traced_run_circuit(*args, **kwargs):
+                gates, n_qubits = args
+                calls.append((tuple(gates), n_qubits))
+                return original_run(*args, **kwargs)
+
+            monkeypatch.setattr(quantum, "build_feature_map", traced_build_feature_map)
+            monkeypatch.setattr(quantum, "run_circuit", traced_run_circuit)
+            rng = np.random.default_rng(15)
+            spec = FeatureMapSpec(n, "zz", reps=2 if n == 3 else 3)
+            shots = ShotConfig(shots=10, seed=4)
+            train = rng.uniform(0, math.pi, size=(5, n))
+            test = rng.uniform(0, math.pi, size=(2, n))
+            kernel_matrix(train, spec, mode=mode, shot_config=shots)
+            cross_kernel_matrix(test, train, spec, mode=mode, shot_config=shots)
+            monkeypatch.undo()
+            rows = [*train, *test, *train]
+            assert len(built) == len(calls) == 2 * len(train) + len(test)
+            assert Counter(built) == Counter(x.tobytes() for x in rows)
+            expect = Counter((tuple(build_feature_map(spec, x)), n) for x in rows)
+            assert Counter(calls) == expect
 
     @given(seed=st.integers(0, 10_000), reps=st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
@@ -589,6 +696,60 @@ class TestEmbeddingGolden:
                             "c8f1968c81ab43ec827761e31a0e4d0eb474f48a46609d1e5023109bb949dddf"),
     }
 
+    # (kind, n_qubits, reps) -> the same two hashes over 9 rows, recorded
+    # before repetitions were compiled once. Odd widths split the register
+    # into uneven halves, and 13 qubits into H blocks of 5, 5 and 3.
+    GOLDEN_REPS = {
+        ("z", 5, 1): ("26f9a8a209625bb77b35630e3e0560e5aa1ed9907406360fd705253479266631",
+                      "4c4af65d8ead506c3dfa236759b058b9f0d553c08a74ba9e7f1826b232ed3d9f"),
+        ("z", 5, 2): ("41c2274013ce83d2ee8d5b9118b40ae417bea34a1d6cebe386bdda49bd87882a",
+                      "cbcfcbdfa1addaff6ba4712b6426a3e4a588b0adee57e16fba271fbdb4a60ae0"),
+        ("z", 5, 3): ("9c71c242f2a9855f8ae9ce11a6448767c275834e6061254bdcc9467258a0d42e",
+                      "4db2db1bb2b6cdf20f181409c98c9b0c8de8df89d1c46984cc819d7616a4713d"),
+        ("z", 5, 4): ("e06622d46158348952affd06c1713fa8ef14cc9e6c773a7b7cd191218bd1365f",
+                      "1921fe89d693b7fe5f1a2b8862d10519bb0de8f0f0626030ac71af75cc1db1a9"),
+        ("z", 13, 1): ("3df2b82b65e10d11b083c575f5e323a4c19e5019a52f6ec80ea6bb5f12d58212",
+                       "8cff630d1d1346ce7562cda4d0599522f4c54a49ac0bb7ed79cfd7ef2127adec"),
+        ("z", 13, 2): ("941ee0257e1afc5a2f5237d6621586490d4ca9cdecdd38362322c7905794974d",
+                       "d8f22152d04aba8ab80cdbdaf356e9c0c4ac8ffc80810eebe4f8f98d5309a360"),
+        ("z", 13, 3): ("30068108fa99b9e72bb95c1af16d401acfd0149266360270616dc69429a6208c",
+                       "fd62894a2e7e7ca6b2e34d246d337e7232f850b09fa0979f70aa75823f369fee"),
+        ("z", 13, 4): ("b223c6f4cd857c867fa270c967ef83f78bac82dafbc3617e169ca2e17facd481",
+                       "f2e33a5740ba517fad5a9945d13c66fc07cb4d2e911101aa80214cfa91723a16"),
+        ("zz", 5, 1): ("89fb0b9b135592f38e2db7e8879076d61c3ef13040557c8573071b9235f7875d",
+                       "24e256ba0deaf00264007516540600f5a6063c3fc58f987457cbd8c3ad669a24"),
+        ("zz", 5, 2): ("031fb9b33690ead55f4a444e00b860a8d6a878e9949f0d3464a25e2b0fd428d5",
+                       "ca92a33622376f6c39e628080ab34802449148392d985582cee717ca89b1b1d8"),
+        ("zz", 5, 3): ("4aa4b3bf29382f753a79ebf86a3d7173b5c39fec288f61f7de2733f05024e408",
+                       "9399fe91a19aac2b4b288baaaae13f5110d228f5b66a9faecacad2bab5037aaf"),
+        ("zz", 5, 4): ("add7c0e4f31b0999ebc767779f8ead05dd5def2db31ecb77535a852c6f8147fd",
+                       "ad0419364bc713a9ebc4289fa0512e1b77815799bccb1e511de1251713259645"),
+        ("zz", 13, 1): ("72094d19707196bace02cdbe9029edf2fdd809086738818995b14270f5e9ba1e",
+                        "595b345085c38a26b12d6027aa604ad29f469052565b699b6a475018570210a1"),
+        ("zz", 13, 2): ("58e2463285f4dd85fc2125142bdeb0923203aab68319fa4657c0f0980904a892",
+                        "910e001c0edba44a13a8620918d8a9c106bff48afbba73125f0040e796c40fc0"),
+        ("zz", 13, 3): ("d5ce8693fee6e4a719c0a430d31f228c4839ef6082e9614dae65b1ce16b00701",
+                        "efaae5d6d424cab2cee4ec9c6cc444afe46369a184d0a5f0a26b16e91449e451"),
+        ("zz", 13, 4): ("9c8ee56f311cebafeec51fba0abdd7cb3bd81ccdd79cf2ebf38f40b275e61cbc",
+                        "f418b28b64df13aaf0702ffc6f7fdc0d14854cd38533e65b2874a9f9cd742653"),
+        ("pauli_zyy", 5, 1): ("90a1b66a563057b93bc6729989fc4609cb5cfb828fd188fe81bd485c73636b5c",
+                              "102b64c77ba26701e1df4d5c956b2e708e9da5f5bf60af803167542444c2f78a"),
+        ("pauli_zyy", 5, 2): ("6164ff0ed5aae7408e92848ed4a91c832d5feb1daeef891a1651b58db72bbfa9",
+                              "50bdb13611791c9bd63ed8b5879347f7fe5f55e6129f6d4f672c1e194fecf75f"),
+        ("pauli_zyy", 5, 3): ("f596c0c88b7ea265b77ab863c3edd3a52fe35b97b176ae075b1241ea9c8b408e",
+                              "20ac9a839e336ea2312b20da7924708a912935ece304620230a19752fe6114d5"),
+        ("pauli_zyy", 5, 4): ("e350852ff03e680dffafc898ee3d852c741ec5b4c0884aead006d92a55987562",
+                              "690a02bed68c0ae0b654dd23ee6eda1127123b83f250809eeae5789cbb50600b"),
+        ("pauli_zyy", 13, 1): ("617c5c7ea913cb62c12408142b8720839d53c5ff66d3e4263ed82ac3130eb72d",
+                               "a10167ad7c3bc94a6024fb52325880c1671d5c5a3315f163e2238d55faa0e573"),
+        ("pauli_zyy", 13, 2): ("7c4e14e35aa0bec44b8b8a5184082951eb97cce0d39ef678bf6e3590e630e376",
+                               "9b07fc00451325eb1db169fec5d1fff2c0d181923c7a5ac4d63d274180da636e"),
+        ("pauli_zyy", 13, 3): ("71564e0fc42424abb7c595640fe7d86560b6856bfd1f1af80035cde8121bf241",
+                               "7ce2ae11dfe8d097840a4076a0e9b0b06670949b880cc458d47e4792178dc509"),
+        ("pauli_zyy", 13, 4): ("2195ebc38f9b9766617b0c3057f1f16e6a1ee1f26703ce9f1fa93ca7268fd835",
+                               "b101dcf5ab35b71bc09ef33769d2c0b9a02bb22e0559d8e3217ae9094eea9851"),
+    }
+
     @pytest.mark.parametrize("kind, n", sorted(GOLDEN))
     def test_embedding_is_pinned(self, kind, n):
         X = np.random.default_rng(n).uniform(0.0, math.pi, size=(130 if n == 12 else 17, n))
@@ -596,5 +757,15 @@ class TestEmbeddingGolden:
         X[1] = math.pi
         spec = FeatureMapSpec(n, kind, reps=3)
         states, kernel = self.GOLDEN[kind, n]
+        assert hashlib.sha256(_embedding_matrix(X, spec).tobytes()).hexdigest() == states
+        assert hashlib.sha256(kernel_matrix(X, spec).tobytes()).hexdigest() == kernel
+
+    @pytest.mark.parametrize("kind, n, reps", sorted(GOLDEN_REPS))
+    def test_every_rep_count_is_pinned(self, kind, n, reps):
+        X = np.random.default_rng(n).uniform(0.0, math.pi, size=(9, n))
+        X[0] = 0.0
+        X[1] = math.pi
+        spec = FeatureMapSpec(n, kind, reps=reps)
+        states, kernel = self.GOLDEN_REPS[kind, n, reps]
         assert hashlib.sha256(_embedding_matrix(X, spec).tobytes()).hexdigest() == states
         assert hashlib.sha256(kernel_matrix(X, spec).tobytes()).hexdigest() == kernel
