@@ -13,6 +13,14 @@ byte-identical artifacts exactly when `diff` finds no difference between
 their outputs. Like the benchmark, the script pins BLAS and OpenMP to one
 thread.
 
+    python3 scripts/parity.py --work /tmp/parity --against parity.json
+
+With --against OLD.json the script hashes the named workloads as above and
+compares them with OLD.json, the stdout of an earlier run (made with the
+same --work): it prints one line per differing (workload, seed, artifact),
+an exit code that changed counting as the artifact `exit`, then an
+identical-seed count per workload, and exits 1 on any difference.
+
     python3 scripts/parity.py --check kernel_exact colon_select
 
 With --check the script instead compares each seed's artifacts with the
@@ -90,14 +98,44 @@ def check(names, work: Path) -> int:
     return 1 if failed else 0
 
 
+def differences(result: dict, old: dict) -> list[tuple[str, str, str]]:
+    """(workload, seed, artifact) for every artifact whose hash differs between
+    result and old, or that only one of them has; `exit` for a changed exit code."""
+    found = []
+    for name, runs in result.items():
+        for seed, entry in runs.items():
+            before = old.get(name, {}).get(seed, {"exit": None, "files": {}})
+            if entry["exit"] != before["exit"]:
+                found.append((name, seed, "exit"))
+            for artifact in sorted(entry["files"].keys() | before["files"].keys()):
+                if entry["files"].get(artifact) != before["files"].get(artifact):
+                    found.append((name, seed, artifact))
+    return found
+
+
+def against(result: dict, old_path: str) -> int:
+    with open(old_path) as fh:
+        old = json.load(fh)
+    found = differences(result, old)
+    for name, seed, artifact in found:
+        print(f"{name} seed {seed}: {artifact} differs")
+    for name, runs in result.items():
+        differing = {seed for workload, seed, _ in found if workload == name}
+        print(f"{name}: {len(runs) - len(differing)}/{len(runs)} seeds identical to {old_path}")
+    return 1 if found else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                         help="workloads to run (default: all of them)")
     parser.add_argument("--work", default=os.path.join(tempfile.gettempdir(), "qkgene-parity"),
                         help="directory holding the fixed input and out paths")
-    parser.add_argument("--check", action="store_true",
-                        help="check every seed against perfbench/reference instead of hashing")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="check every seed against perfbench/reference instead of hashing")
+    mode.add_argument("--against", metavar="OLD.json",
+                      help="compare the hashes with an earlier run's output instead of printing")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -119,6 +157,8 @@ def main(argv=None) -> int:
         name: {str(seed): seed_hashes(WORKLOADS[name], seed, work) for seed in range(POOL_SIZE)}
         for name in args.workloads
     }
+    if args.against:
+        return against(result, args.against)
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     failed = sum(entry["exit"] != 0 for runs in result.values() for entry in runs.values())

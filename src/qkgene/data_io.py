@@ -74,13 +74,17 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """How to split; `key` is the name error messages give test_fraction,
+    the config key a user set (split.test_fraction, fitness.val_fraction)."""
+
     test_fraction: float = 0.25
     seed: int = 0
     stratified: bool = True
+    key: str = "test_fraction"
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must lie strictly between 0 and 1")
+            raise ConfigError(f"{self.key} must lie strictly between 0 and 1")
 
 
 def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
@@ -238,18 +242,39 @@ def table_lines(rows):
 def long_format_lines(matrix, prefix: str = ""):
     """Rows `{prefix}{i},{j},{value}` of a 2-d matrix, one chunk per matrix row.
 
-    Each value is repr(float(matrix[i, j])) and each row ends in \\r\\n.
+    Each value is repr(float(matrix[i, j])) and each line ends in \\r\\n.
+
+    A square matrix equal to its transpose bit for bit (every training
+    kernel) has each value rendered once: row i renders the entries j >= i
+    and appends the finished line (j, i) to a pending bytearray of row j,
+    which row j emits ahead of its own entries and then frees. The pending
+    text peaks at about n²/4 lines, ~1.5 MB for a 450 × 450 kernel. The
+    guard compares bits, not floats: -0.0 == 0.0 and NaN != NaN as floats,
+    but the two render differently and the same, respectively.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape[1] == 0:
+    n_rows, n_cols = matrix.shape
+    if n_cols == 0:
         return
-    cols = [f"{j}," for j in range(matrix.shape[1])]
-    for i in range(matrix.shape[0]):
-        head = f"{prefix}{i},"
-        # joining on "\r\n{head}" ends one line and starts the next,
-        # so each value costs a single concatenation
-        yield head + ("\r\n" + head).join(
-            [col + repr(v) for col, v in zip(cols, matrix[i].tolist())]) + "\r\n"
+    cols = [f"{j}," for j in range(n_cols)]
+    heads = [f"{prefix}{i}," for i in range(n_rows)]
+    bits = matrix.view(np.uint64)
+    # joining on "\r\n{head}" ends one line and starts the next,
+    # so each value costs a single concatenation
+    if n_rows != n_cols or not np.array_equal(bits, bits.T):
+        for head, row in zip(heads, matrix):
+            yield head + ("\r\n" + head).join(
+                [col + repr(v) for col, v in zip(cols, row.tolist())]) + "\r\n"
+        return
+    pending = [bytearray() for _ in range(n_rows)]
+    for i, head in enumerate(heads):
+        values = [repr(v) for v in matrix[i, i:].tolist()]
+        yield pending[i].decode() + head + ("\r\n" + head).join(
+            [col + v for col, v in zip(cols[i:], values)]) + "\r\n"
+        pending[i] = None
+        col = cols[i]
+        for lower, row_head, v in zip(pending[i + 1:], heads[i + 1:], values[1:]):
+            lower += f"{row_head}{col}{v}\r\n".encode()  # in place: lower is pending[j]
 
 
 def write_text(path, chunks, newline: str | None = None) -> None:
@@ -300,7 +325,7 @@ def split_indices(labels, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
             n_test = round(len(members) * spec.test_fraction)
             if n_test == 0 or n_test == len(members):
                 raise DataError(
-                    f"test_fraction {spec.test_fraction} leaves class {cls} "
+                    f"{spec.key} {spec.test_fraction} leaves class {cls} "
                     "absent from one side of the split"
                 )
             perm = rng.permutation(members)
@@ -311,7 +336,7 @@ def split_indices(labels, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     else:
         n_test = round(n * spec.test_fraction)
         if n_test == 0 or n_test == n:
-            raise DataError("test_fraction leaves one side of the split empty")
+            raise DataError(f"{spec.key} {spec.test_fraction} leaves one side of the split empty")
         perm = rng.permutation(n)
         test = np.sort(perm[:n_test])
         train = np.sort(perm[n_test:])

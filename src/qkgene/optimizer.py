@@ -216,7 +216,7 @@ def make_fitness(train: LabeledDataset, config: FitnessConfig) -> Callable[[np.n
     if config.evaluator != "knn":
         raise ConfigError(f"unknown fitness evaluator {config.evaluator!r}")
     fit_idx, val_idx = split_indices(
-        train.labels, SplitSpec(test_fraction=config.val_fraction, seed=config.seed)
+        train.labels, SplitSpec(config.val_fraction, config.seed, key="fitness.val_fraction")
     )
     fit_x, fit_y = train.features[fit_idx], train.labels[fit_idx]
     val_x, val_y = train.features[val_idx], train.labels[val_idx]

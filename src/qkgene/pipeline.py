@@ -256,7 +256,8 @@ def prepare(cfg: PipelineConfig, use_selection: bool,
             ds: LabeledDataset | None = None, select_only: bool = False) -> PreparedData:
     ds = _load(cfg, ds)
     train, test = stratified_split(
-        ds, SplitSpec(cfg.test_fraction, stage_seed(cfg.seed, "split"), cfg.stratified)
+        ds, SplitSpec(cfg.test_fraction, stage_seed(cfg.seed, "split"), cfg.stratified,
+                      key="split.test_fraction")
     )
     prep = PreparedData(train=train, test=test, gene_names=list(ds.gene_names))
     if use_selection:

@@ -7,16 +7,19 @@ metrics.json from an unfinished run in its out dir.
 """
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import csv_artifact_text, kernel_rows, pca_model_rows
 from qkgene import cli, pipeline
-from qkgene.classifier import SvmModel
-from qkgene.data_io import table_lines, write_csv
+from qkgene.classifier import SvmModel, rbf_kernel_matrix
+from qkgene.data_io import long_format_lines, table_lines, write_csv
 from qkgene.pipeline import PipelineConfig, config_hash, run
+from qkgene.quantum import FeatureMapSpec, ShotConfig, kernel_matrix
 from qkgene.reduction import pca_fit, save_pca_model
 from qkgene.synth import blobs_dataset, planted_dataset
 
@@ -99,6 +102,94 @@ class TestByteFormat:
         path = tmp_path_factory.mktemp("table") / "table.csv"
         write_csv(path, ["c=1"], ["a", "b"], table_lines(rows))
         assert read_text(path) == csv_artifact_text(["c=1"], ["a", "b"], rows)
+
+
+def oracle_chunks(matrix, prefix=()) -> list[str]:
+    """The csv.writer text of each matrix row's lines, `prefix` fields first."""
+    rows = [prefix + row for row in kernel_rows(matrix)]
+    n_cols = matrix.shape[1]
+    return [csv_artifact_text([], ["h"], rows[i * n_cols:(i + 1) * n_cols])[len("h\r\n"):]
+            for i in range(matrix.shape[0] if n_cols else 0)]
+
+
+def bit_symmetric(matrix) -> bool:
+    bits = matrix.view(np.uint64)
+    return matrix.shape[0] == matrix.shape[1] and np.array_equal(bits, bits.T)
+
+
+def rbf_450() -> np.ndarray:
+    """The training kernel's shape on the artifacts_rbf benchmark workload."""
+    return rbf_kernel_matrix(np.random.default_rng(5).normal(size=(450, 8)), gamma=0.125)
+
+
+def quantum_kernel(mode: str) -> np.ndarray:
+    X = np.random.default_rng(6).uniform(0, np.pi, size=(12, 3))
+    shots = ShotConfig(64, 9) if mode == "sampled" else None
+    return kernel_matrix(X, FeatureMapSpec(3, "zz", reps=2), mode, shots)
+
+
+ULP_PAIR = np.array([[1.0, 0.3], [np.nextafter(0.3, 1.0), 1.0]])
+
+
+class TestLongFormatLines:
+    """The symmetric fast path must write what rendering every entry writes."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.array([[0.1 + 0.2]]),
+        lambda: np.array([[1.0, 1 / 3], [1 / 3, 1.0]]),
+        rbf_450,
+        lambda: quantum_kernel("exact"),
+        lambda: quantum_kernel("sampled"),
+        lambda: np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        lambda: np.array([[np.inf, -np.inf, 5e-324], [-np.inf, -0.0, 1e300],
+                          [5e-324, 1e300, np.nan]]),
+    ], ids=["1x1", "2x2", "rbf_450", "exact", "sampled", "nan_pair", "inf_pairs"])
+    def test_symmetric_matrices(self, make):
+        matrix = make()
+        assert bit_symmetric(matrix)
+        assert list(long_format_lines(matrix)) == oracle_chunks(matrix)
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[1.0, -0.0], [0.0, 1.0]]),  # equal as floats, rendered differently
+        np.array([[1.0, np.nan], [np.uint64(0x7FF8000000000001).view(np.float64), 1.0]]),
+        ULP_PAIR,
+        np.random.default_rng(7).normal(size=(5, 9)),
+        np.zeros((3, 0)),
+        np.zeros((0, 3)),
+    ], ids=["signed_zero_pair", "nan_payloads", "one_ulp", "non_square", "no_cols", "no_rows"])
+    def test_other_matrices(self, matrix):
+        assert not bit_symmetric(matrix)
+        assert list(long_format_lines(matrix)) == oracle_chunks(matrix)
+
+    @pytest.mark.parametrize("matrix", [np.array([[0.5, 2.0]]), np.array([[0.5], [2.0]]),
+                                        np.array([[2.0, -1.5], [-1.5, 0.25]]), ULP_PAIR])
+    def test_prefix(self, matrix):
+        expected = oracle_chunks(matrix, ("component",))
+        assert list(long_format_lines(matrix, "component,")) == expected
+
+    @given(square=st.integers(1, 7).flatmap(lambda n: arrays(np.float64, (n, n))))
+    @settings(max_examples=200, deadline=None)
+    def test_triu_plus_transpose(self, square):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf is nan
+            matrix = np.triu(square) + np.triu(square).T
+        assert list(long_format_lines(matrix)) == oracle_chunks(matrix)
+
+    def test_pending_text_is_bounded(self):
+        matrix = rbf_450()
+        n = matrix.shape[0]
+        longest = max(map(len, "".join(oracle_chunks(matrix)).splitlines(keepends=True)))
+        # the mirrored lines of rows < i still waiting in rows > i peak at
+        # i·(n - i) <= n²/4; a bytearray over-allocates by at most 1/8, and
+        # one row chunk (with its value strings) is alive at a time
+        bound = (n * n // 4) * longest * 9 // 8 + 4 * n * longest
+        tracemalloc.start()
+        try:
+            for _chunk in long_format_lines(matrix):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 class TestOutDirConsistency:

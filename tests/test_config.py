@@ -186,6 +186,23 @@ class TestCliConfigErrors:
         assert err.startswith(f"config error: {key} ") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("settings_, message", [
+        (["split.test_fraction=0.01"],
+         "split.test_fraction 0.01 leaves class -1 absent from one side of the split"),
+        (["split.test_fraction=0.01", "split.stratified=false"],
+         "split.test_fraction 0.01 leaves one side of the split empty"),
+        (["fitness.val_fraction=0.99"],
+         "fitness.val_fraction 0.99 leaves class -1 absent from one side of the split"),
+    ])
+    def test_infeasible_split_is_one_line_naming_its_key(self, tmp_path, csv_path,
+                                                         settings_, message):
+        argv = ["run-all", "--data", csv_path, "--out", str(tmp_path / "out"),
+                "--set", "pca.k=2", "--set", "hho.t=2"]
+        for item in settings_:
+            argv += ["--set", item]
+        code, _out, err = run_cli(argv)
+        assert (code, err) == (2, f"data error: {message}\n")
+
     def test_effective_pca_k_above_qubit_limit_names_pca_k(self, tmp_path):
         csv_path = write_csv(tmp_path / "wide.csv", 48, 26)
         code, _out, err = run_cli(["kernel", "--data", csv_path, "--out", str(tmp_path / "out"),
