@@ -43,9 +43,9 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
         raise DataError("kernel size does not match label count")
     if set(np.unique(y).tolist()) != {-1.0, 1.0}:
         raise DataError("training labels must include both -1 and +1")
-    if c <= 0:
+    if not c > 0:  # written so that NaN fails too
         raise DataError("C must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise DataError("tol must be positive")
     asym = float(np.max(np.abs(K - K.T)))
     if asym > SYMMETRY_TOL:

@@ -8,6 +8,7 @@ and the scaler follows a fit/apply contract (fit on train, apply to both).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -109,7 +110,7 @@ def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
                         f"at offset {exc.start}") from None
     parsed = _parse_plain(text, label_column)
     if parsed is None:
-        parsed = _parse_cells(path, label_column)
+        parsed = _parse_cells(text, path, label_column)
     gene_names, features, raw_labels = parsed
 
     if len(features) < 2:
@@ -182,14 +183,12 @@ def _parse_plain(text: str, label_column):
     return [header[i] for i in genes], features, raw_labels
 
 
-def _parse_cells(path, label_column):
-    """(gene names, feature rows, raw labels) through csv.reader and float()."""
+def _parse_cells(text: str, path, label_column):
+    """(gene names, feature rows, raw labels) through csv.reader and float();
+    path only names the file in errors."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        rows = list(reader)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     rows = [r for r in rows if r]
@@ -364,6 +363,8 @@ class PhaseScaler:
     def __post_init__(self):
         if not self.hi > self.lo:
             raise ConfigError("phase range requires hi > lo")
+        if not math.isfinite(self.hi - self.lo):
+            raise ConfigError("phase range hi - lo must be finite")
 
     def fit(self, features) -> "PhaseScaler":
         features = np.asarray(features, dtype=np.float64)

@@ -8,6 +8,8 @@ exploration (|E| >= 1) versus one of four exploitation moves; the two
 rapid-dive moves are greedy (kept only on fitness improvement), all other
 moves are unconditional. The best mask ever seen (the rabbit) is tracked
 separately, so the reported convergence curve is monotone non-increasing.
+Every candidate position is binarized against the moving hawk's bits and
+scored in one place, the search's evaluate(position) -> Hawk.
 
 Subset quality is the wrapper objective alpha * validation_error +
 (1 - alpha) * selected_fraction, with a k-nearest-neighbour classifier on
@@ -31,7 +33,6 @@ TRANSFER_KINDS = ("s", "v")
 class HhoParams:
     n_hawks: int
     max_iters: int
-    dimension: int
     lower_bound: float = -1.0
     upper_bound: float = 1.0
     seed: int = 0
@@ -41,24 +42,18 @@ class HhoParams:
             raise ConfigError("n_hawks must be at least 2")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.dimension < 1:
-            raise ConfigError("dimension must be at least 1")
         if not self.upper_bound > self.lower_bound:
             raise ConfigError("upper_bound must exceed lower_bound")
-
-
-@dataclass
-class Hawk:
-    position: np.ndarray
-    bits: np.ndarray
-    fitness: float
+        if not math.isfinite(self.upper_bound - self.lower_bound):
+            raise ConfigError("upper_bound - lower_bound must be finite")
 
 
 @dataclass(frozen=True)
-class EnergyState:
-    e0: float
-    e: float
-    iteration: int
+class Hawk:
+    """A scored position; a move replaces the hawk and never writes into its arrays."""
+    position: np.ndarray
+    bits: np.ndarray
+    fitness: float
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,6 @@ class FeatureMask:
 @dataclass(frozen=True)
 class FitnessConfig:
     alpha: float = 0.99
-    evaluator: str = "knn"
     knn_k: int = 5
     val_fraction: float = 0.2
     seed: int = 0
@@ -97,20 +91,21 @@ class FitnessConfig:
             raise ConfigError("val_fraction must lie strictly between 0 and 1")
 
 
-def init_population(params: HhoParams, rng: np.random.Generator | None = None) -> np.ndarray:
+def init_population(params: HhoParams, dimension: int,
+                    rng: np.random.Generator | None = None) -> np.ndarray:
     if rng is None:
         rng = np.random.default_rng(params.seed)
-    return rng.uniform(params.lower_bound, params.upper_bound,
-                       (params.n_hawks, params.dimension))
+    return rng.uniform(params.lower_bound, params.upper_bound, (params.n_hawks, dimension))
 
 
 def mean_position(positions: np.ndarray) -> np.ndarray:
     return np.asarray(positions, dtype=np.float64).mean(axis=0)
 
 
-def escaping_energy(t: int, max_iters: int, rng: np.random.Generator) -> EnergyState:
+def escaping_energy(t: int, max_iters: int, rng: np.random.Generator) -> float:
+    """E = 2 E0 (1 - t / T), with E0 drawn uniformly from [-1, 1)."""
     e0 = 2.0 * rng.random() - 1.0
-    return EnergyState(e0=e0, e=2.0 * e0 * (1.0 - t / max_iters), iteration=t)
+    return 2.0 * e0 * (1.0 - t / max_iters)
 
 
 LEVY_BETA = 1.5
@@ -153,18 +148,16 @@ def exploration_step(position: np.ndarray, positions: np.ndarray,
     return _clip(new, params)
 
 
-def exploitation_step(position: np.ndarray, current_fitness: float,
-                      best_position: np.ndarray, positions_mean: np.ndarray,
-                      energy: EnergyState, params: HhoParams,
-                      rng: np.random.Generator,
-                      objective: Callable[[np.ndarray], float]) -> np.ndarray:
-    """One of four besiege moves keyed on (|E|, r).
+def exploitation_step(hawk: Hawk, best_position: np.ndarray, positions_mean: np.ndarray,
+                      e: float, params: HhoParams, rng: np.random.Generator,
+                      evaluate: Callable[[np.ndarray], Hawk]) -> Hawk | None:
+    """One of four besiege moves keyed on (|E|, r), as an evaluated hawk.
 
-    The two rapid-dive moves (r < 0.5) test candidates through `objective`
-    and return the incumbent position object unchanged when neither dive
-    improves on current_fitness.
+    The two rapid-dive moves (r < 0.5) are greedy: they return the first of
+    the dive and the Levy swoop that scores below the hawk, and None when
+    neither does. Every move draws its randoms before it calls `evaluate`.
     """
-    e = energy.e
+    position = hawk.position
     r = rng.random()
     if r >= 0.5:
         if abs(e) >= 0.5:  # soft besiege
@@ -172,19 +165,19 @@ def exploitation_step(position: np.ndarray, current_fitness: float,
             new = (best_position - position) - e * np.abs(jump * best_position - position)
         else:  # hard besiege
             new = best_position - e * np.abs(best_position - position)
-        return _clip(new, params)
+        return evaluate(_clip(new, params))
 
     # progressive rapid dives
     jump = 2.0 * (1.0 - rng.random())
     reference = position if abs(e) >= 0.5 else positions_mean
-    dive = _clip(best_position - e * np.abs(jump * best_position - reference), params)
-    if objective(dive) < current_fitness:
+    dive = evaluate(_clip(best_position - e * np.abs(jump * best_position - reference), params))
+    if dive.fitness < hawk.fitness:
         return dive
     dim = len(position)
-    swoop = _clip(dive + rng.random(dim) * levy_step(dim, rng), params)
-    if objective(swoop) < current_fitness:
-        return swoop
-    return position
+    swoop = _clip(dive.position + rng.random(dim) * levy_step(dim, rng), params)
+    # a swoop onto the dive's exact bytes is the dive: no second mask is drawn
+    swooped = dive if swoop.tobytes() == dive.position.tobytes() else evaluate(swoop)
+    return swooped if swooped.fitness < hawk.fitness else None
 
 
 def transfer_probability(delta, kind: str = "s") -> np.ndarray:
@@ -213,8 +206,6 @@ def binarize(position: np.ndarray, current_bits: np.ndarray, kind: str,
 
 def make_fitness(train: LabeledDataset, config: FitnessConfig) -> Callable[[np.ndarray], float]:
     """Closure scoring bit masks; the validation split is drawn once."""
-    if config.evaluator != "knn":
-        raise ConfigError(f"unknown fitness evaluator {config.evaluator!r}")
     fit_idx, val_idx = split_indices(
         train.labels, SplitSpec(config.val_fraction, config.seed, key="fitness.val_fraction")
     )
@@ -248,76 +239,50 @@ def make_fitness(train: LabeledDataset, config: FitnessConfig) -> Callable[[np.n
 
 
 def run_bhho(train: LabeledDataset, params: HhoParams, fitness_config: FitnessConfig,
-             transfer: str = "s",
-             history: list | None = None) -> tuple[FeatureMask, np.ndarray]:
-    """Search gene masks; returns the best mask and the convergence curve.
+             transfer: str = "s") -> tuple[FeatureMask, list[tuple[float, int]]]:
+    """Search gene masks over train's genes.
 
-    history, when given a list, receives one (best_fitness, selected_count)
-    tuple per iteration. A single seeded generator drives the whole run, so
-    equal seeds reproduce the trajectory bit for bit.
+    Returns the best mask and the convergence curve: one (best fitness,
+    selected count) pair per iteration. A single seeded generator drives the
+    whole run, so equal seeds reproduce the trajectory bit for bit.
     """
     if transfer not in TRANSFER_KINDS:
         raise ConfigError(f"transfer kind must be one of {TRANSFER_KINDS}, got {transfer!r}")
-    if params.dimension != train.n_genes:
-        raise ConfigError("params.dimension must equal the gene count")
     score = make_fitness(train, fitness_config)
     rng = np.random.default_rng(params.seed)
+    # the bits the V rule flips: all zero for the first draw, then the moving hawk's
+    current_bits = np.zeros(train.n_genes, dtype=np.int8)
 
-    zero = np.zeros(params.dimension, dtype=np.int8)
-    hawks = []
-    for position in init_population(params, rng):
-        bits = binarize(position, zero, transfer, rng)
-        hawks.append(Hawk(position=position, bits=bits, fitness=score(bits)))
+    def evaluate(position: np.ndarray) -> Hawk:
+        bits = binarize(position, current_bits, transfer, rng)
+        return Hawk(position, bits, score(bits))
 
-    # A move hands a hawk new arrays and never writes into its old ones, so
-    # the rabbit can share the arrays of the hawk it was taken from.
-    rabbit = None
-    convergence = np.empty(params.max_iters)
+    hawks = [evaluate(position) for position in init_population(params, train.n_genes, rng)]
+    rabbit = hawks[0]
+    curve = []
     for t in range(params.max_iters):
         for hawk in hawks:
-            if rabbit is None or hawk.fitness < rabbit.fitness:
-                rabbit = Hawk(hawk.position, hawk.bits, hawk.fitness)
-        convergence[t] = rabbit.fitness
-        if history is not None:
-            history.append((rabbit.fitness, int(rabbit.bits.sum())))
+            if hawk.fitness < rabbit.fitness:
+                rabbit = hawk
+        curve.append((rabbit.fitness, int(rabbit.bits.sum())))
 
-        current_positions = np.array([h.position for h in hawks])
-        swarm_mean = mean_position(current_positions)
-        for hawk in hawks:
-            energy = escaping_energy(t, params.max_iters, rng)
-            if abs(energy.e) >= 1.0:
-                new_position = exploration_step(hawk.position, current_positions,
-                                                rabbit.position, params, rng)
-                new_bits = binarize(new_position, hawk.bits, transfer, rng)
-                hawk.position = new_position
-                hawk.bits = new_bits
-                hawk.fitness = score(new_bits)
+        positions = np.array([h.position for h in hawks])
+        swarm_mean = mean_position(positions)
+        for i, hawk in enumerate(hawks):
+            current_bits = hawk.bits
+            e = escaping_energy(t, params.max_iters, rng)
+            if abs(e) >= 1.0:
+                moved = evaluate(exploration_step(hawk.position, positions,
+                                                  rabbit.position, params, rng))
             else:
-                evaluated: dict[bytes, tuple[np.ndarray, float]] = {}
-
-                def objective(candidate: np.ndarray) -> float:
-                    key = candidate.tobytes()
-                    if key not in evaluated:
-                        bits = binarize(candidate, hawk.bits, transfer, rng)
-                        evaluated[key] = (bits, score(bits))
-                    return evaluated[key][1]
-
-                new_position = exploitation_step(hawk.position, hawk.fitness,
-                                                 rabbit.position, swarm_mean,
-                                                 energy, params, rng, objective)
-                if new_position is hawk.position:
-                    continue  # both dives rejected, hawk stays put
-                cached = evaluated.get(new_position.tobytes())
-                if cached is None:
-                    bits = binarize(new_position, hawk.bits, transfer, rng)
-                    cached = (bits, score(bits))
-                hawk.position = new_position
-                hawk.bits = cached[0]
-                hawk.fitness = cached[1]
+                moved = exploitation_step(hawk, rabbit.position, swarm_mean, e,
+                                          params, rng, evaluate)
+            if moved is not None:  # None: both dives rejected, the hawk stays put
+                hawks[i] = moved
 
     # no rescan after the final moves: the rabbit only advances via the scan
     # at the top of each iteration, so a 1-iteration run returns the best of
     # the initial population
     if not math.isfinite(rabbit.fitness) or rabbit.bits.sum() == 0:
         raise NumericalError("search never produced a non-empty mask")
-    return FeatureMask(rabbit.bits.copy()), convergence
+    return FeatureMask(rabbit.bits), curve

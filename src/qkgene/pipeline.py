@@ -208,8 +208,7 @@ class PreparedData:
     test: LabeledDataset
     gene_names: list[str]  # of the raw input genes, for the mask artifact
     mask: FeatureMask | None = None
-    convergence: np.ndarray | None = None
-    history: list | None = None
+    history: list | None = None  # (best fitness, selected count) per search iteration
     # the rest stay unset when prepare stops after the selection
     pca: reduction.PcaModel | None = None
     scaler: PhaseScaler | None = None
@@ -234,22 +233,17 @@ def _select(cfg: PipelineConfig, train: LabeledDataset):
     params = HhoParams(
         n_hawks=cfg.hho_hawks,
         max_iters=cfg.hho_iters,
-        dimension=train.n_genes,
         lower_bound=cfg.hho_lower,
         upper_bound=cfg.hho_upper,
         seed=stage_seed(cfg.seed, "select"),
     )
     fitness_config = FitnessConfig(
         alpha=cfg.fit_alpha,
-        evaluator=cfg.fit_evaluator,
         knn_k=cfg.fit_knn_k,
         val_fraction=cfg.fit_val_fraction,
         seed=stage_seed(cfg.seed, "fitness"),
     )
-    history: list = []
-    mask, convergence = run_bhho(train, params, fitness_config,
-                                 transfer=cfg.hho_transfer, history=history)
-    return mask, convergence, history
+    return run_bhho(train, params, fitness_config, transfer=cfg.hho_transfer)
 
 
 def prepare(cfg: PipelineConfig, use_selection: bool,
@@ -261,7 +255,7 @@ def prepare(cfg: PipelineConfig, use_selection: bool,
     )
     prep = PreparedData(train=train, test=test, gene_names=list(ds.gene_names))
     if use_selection:
-        prep.mask, prep.convergence, prep.history = _select(cfg, train)
+        prep.mask, prep.history = _select(cfg, train)
         train = train.select_genes(prep.mask.bits)
         test = test.select_genes(prep.mask.bits)
     if select_only:

@@ -152,13 +152,13 @@ def test_criterion_05_gene_search_recovers_planted_genes():
         for seed in range(5):
             ds = planted_dataset(240, 50, 5, shift=1.2, seed=100 + seed)
             train, _ = stratified_split(ds, SplitSpec(0.25, seed=seed))
-            params = HhoParams(n_hawks=10, max_iters=50, dimension=50,
+            params = HhoParams(n_hawks=10, max_iters=50,
                                lower_bound=-3.0, upper_bound=3.0, seed=seed)
             fitness_config = FitnessConfig(seed=seed, val_fraction=0.3)
             mask, curve = run_bhho(train, params, fitness_config)
             hits = len(informative & set(mask.indices().tolist()))
             assert hits >= 4, f"seed {seed}: only {hits}/5 informative genes kept"
-            assert np.all(np.diff(curve) <= 0.0)
+            assert np.all(np.diff([fit for fit, _count in curve]) <= 0.0)
         assert time.monotonic() - start < 60.0
 
 

@@ -119,6 +119,10 @@ class TestSmoTrain:
             smo_train(K, y, c=0.0)
         with pytest.raises(DataError):
             smo_train(K, y, tol=-1.0)
+        with pytest.raises(DataError, match="C must be positive"):
+            smo_train(K, y, c=float("nan"))
+        with pytest.raises(DataError, match="tol must be positive"):
+            smo_train(K, y, tol=float("nan"))
 
     def test_asymmetric_kernel_rejected(self):
         K = np.eye(3)

@@ -10,6 +10,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -314,3 +316,19 @@ def test_cli_fuzz(n_rows, n_genes, data_seed, calls):
                 names = os.listdir(os.path.join(work, out_dir))  # may hold out/nested
                 assert ("metrics.json" in names) == (cli.COMMANDS[command] == "evaluate")
                 assert len(config_hashes(os.path.join(work, out_dir))) == 1, (argv, names)
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    """`import qkgene.cli` (the benchmark's setup_s) pulls in the stdlib,
+    numpy and qkgene only: scipy and hypothesis stay test-only."""
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import qkgene.cli\n"
+             "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+             "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["numpy", "qkgene"]

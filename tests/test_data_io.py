@@ -148,7 +148,7 @@ class TestPlainParser:
             read_back = fh.read()
         plain = parse_outcome(data_io._parse_plain, read_back, label_column)
         if plain is not None:
-            assert plain == parse_outcome(data_io._parse_cells, path, label_column)
+            assert plain == parse_outcome(data_io._parse_cells, read_back, path, label_column)
 
     @pytest.mark.parametrize("text, label_column", [
         ("g1,label,g2\n1.0,a,2.0\n3.0,b,4.0\n", "label"),
@@ -160,7 +160,7 @@ class TestPlainParser:
         path = write_csv(tmp_path, text)
         plain = parse_outcome(data_io._parse_plain, text, label_column)
         assert plain is not None
-        assert plain == parse_outcome(data_io._parse_cells, path, label_column)
+        assert plain == parse_outcome(data_io._parse_cells, text, path, label_column)
 
     @pytest.mark.parametrize("text", [
         "g1,label\n1_000,a\n2,b\n",         # float() accepts, loadtxt does not
@@ -171,6 +171,19 @@ class TestPlainParser:
     ])
     def test_other_files_take_the_per_cell_route(self, text):
         assert data_io._parse_plain(text, "label") is None
+
+    def test_per_cell_route_reads_the_file_once(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path, 'g1,label\n"1.5",a\n2,b\n')
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(data_io, "open", counting_open, raising=False)
+        ds = load_csv(path, "label", positive_label="a")
+        assert ds.features.ravel().tolist() == [1.5, 2.0]
+        assert len(opened) == 1
 
     def test_errors_name_line_and_column(self, tmp_path):
         path = write_csv(tmp_path, "g1,label\n1.0,a\n2.0,b\nx,a\n")
@@ -286,6 +299,10 @@ class TestPhaseScaler:
     def test_bad_bounds(self):
         with pytest.raises(ConfigError):
             PhaseScaler(1.0, 1.0)
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                       (-math.inf, 0.0), (-1e308, 1e308)):
+            with pytest.raises(ConfigError):
+                PhaseScaler(lo, hi)
 
     @given(
         st.lists(

@@ -9,9 +9,9 @@ from qkgene import optimizer
 from qkgene.data_io import LabeledDataset
 from qkgene.errors import ConfigError, DataError
 from qkgene.optimizer import (
-    EnergyState,
     FeatureMask,
     FitnessConfig,
+    Hawk,
     HhoParams,
     binarize,
     escaping_energy,
@@ -59,7 +59,7 @@ class ScriptedRng:
 
 
 def small_params(**overrides):
-    base = dict(n_hawks=4, max_iters=5, dimension=3,
+    base = dict(n_hawks=4, max_iters=5,
                 lower_bound=-8.0, upper_bound=8.0, seed=0)
     base.update(overrides)
     return HhoParams(**base)
@@ -73,25 +73,27 @@ class TestParamsAndPopulation:
             small_params(max_iters=0)
         with pytest.raises(ConfigError):
             small_params(lower_bound=2.0, upper_bound=2.0)
-        with pytest.raises(ConfigError):
-            small_params(dimension=0)
+        for low, high in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0),
+                          (0.0, math.inf), (-1e308, 1e308)):
+            with pytest.raises(ConfigError):
+                small_params(lower_bound=low, upper_bound=high)
 
     def test_degenerate_box_collapses_to_lower_bound(self):
         params = small_params(lower_bound=1.0, upper_bound=1.0 + 1e-12)
-        pop = init_population(params)
+        pop = init_population(params, 3)
         np.testing.assert_allclose(pop, np.full((4, 3), 1.0), atol=1e-9)
 
     def test_range_scan(self):
-        params = HhoParams(n_hawks=3, max_iters=1, dimension=2,
+        params = HhoParams(n_hawks=3, max_iters=1,
                            lower_bound=-2.0, upper_bound=5.0, seed=1)
-        pop = init_population(params)
+        pop = init_population(params, 2)
         assert pop.shape == (3, 2)
         assert np.all(pop >= -2.0) and np.all(pop <= 5.0)
 
     def test_same_seed_identical(self):
         params = small_params(seed=9)
-        np.testing.assert_array_equal(init_population(params),
-                                      init_population(params))
+        np.testing.assert_array_equal(init_population(params, 3),
+                                      init_population(params, 3))
 
 
 class TestMeanPosition:
@@ -116,21 +118,19 @@ class TestMeanPosition:
 
 class TestEscapingEnergy:
     def test_formula_endpoints(self):
-        state = escaping_energy(0, 10, ScriptedRng(uniforms=[1.0]))
-        assert state.e == pytest.approx(2.0)
-        state = escaping_energy(0, 10, ScriptedRng(uniforms=[0.5]))
-        assert state.e == 0.0
+        assert escaping_energy(0, 10, ScriptedRng(uniforms=[1.0])) == pytest.approx(2.0)
+        assert escaping_energy(0, 10, ScriptedRng(uniforms=[0.5])) == 0.0
 
     def test_late_iteration_bound(self):
         big_t = 1000
-        state = escaping_energy(big_t - 1, big_t, ScriptedRng(uniforms=[1.0]))
-        assert abs(state.e) <= 2.0 / big_t + 1e-12
+        e = escaping_energy(big_t - 1, big_t, ScriptedRng(uniforms=[1.0]))
+        assert abs(e) <= 2.0 / big_t + 1e-12
 
     @given(t=st.integers(0, 99), u=st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_envelope(self, t, u):
-        state = escaping_energy(t, 100, ScriptedRng(uniforms=[u]))
-        assert abs(state.e) <= 2.0 * (1.0 - t / 100) + 1e-12
+        e = escaping_energy(t, 100, ScriptedRng(uniforms=[u]))
+        assert abs(e) <= 2.0 * (1.0 - t / 100) + 1e-12
 
 
 class TestExplorationStep:
@@ -152,7 +152,7 @@ class TestExplorationStep:
         np.testing.assert_allclose(out, best - positions.mean(axis=0))
 
     def test_two_hawk_hand_recompute(self):
-        params = HhoParams(n_hawks=2, max_iters=1, dimension=1,
+        params = HhoParams(n_hawks=2, max_iters=1,
                            lower_bound=-10.0, upper_bound=10.0, seed=0)
         positions = np.array([[2.0], [-3.0]])
         best = np.array([1.0])
@@ -172,75 +172,97 @@ class TestExplorationStep:
 
 
 class TestExploitationStep:
-    def fail_objective(self, _candidate):
-        raise AssertionError("besiege branches must not probe the objective")
+    """exploitation_step scores through `evaluate` and returns its hawk."""
+
+    @staticmethod
+    def hawk(position, fitness):
+        return Hawk(np.asarray(position, dtype=np.float64), np.zeros(3, np.int8), fitness)
+
+    @staticmethod
+    def recording(fitness):
+        """An evaluate that records every position it is asked to score."""
+        calls = []
+
+        def evaluate(position):
+            calls.append(position.copy())
+            return Hawk(position, np.ones(len(position), np.int8), fitness)
+
+        return evaluate, calls
 
     def test_hard_besiege_formula(self):
         params = small_params()
-        position = np.array([2.0, -1.0, 0.5])
+        hawk = self.hawk([2.0, -1.0, 0.5], 1.0)
         best = np.array([1.0, 1.0, 1.0])
-        energy = EnergyState(e0=0.2, e=0.3, iteration=0)
         rng = ScriptedRng(uniforms=[0.7])
-        out = exploitation_step(position, 1.0, best, position * 0, energy,
-                                params, rng, self.fail_objective)
-        np.testing.assert_allclose(out, best - 0.3 * np.abs(best - position),
+        evaluate, calls = self.recording(5.0)
+        out = exploitation_step(hawk, best, hawk.position * 0, 0.3, params, rng, evaluate)
+        # a besiege move is unconditional: evaluated once, kept even if worse
+        assert len(calls) == 1 and out.fitness == 5.0
+        np.testing.assert_allclose(out.position, best - 0.3 * np.abs(best - hawk.position),
                                    atol=1e-12)
 
     def test_zero_energy_collapses_to_best(self):
         params = small_params()
-        position = np.array([2.0, -1.0, 0.5])
+        hawk = self.hawk([2.0, -1.0, 0.5], 1.0)
         best = np.array([1.0, 1.5, -0.5])
-        energy = EnergyState(e0=0.0, e=0.0, iteration=3)
         rng = ScriptedRng(uniforms=[0.9])
-        out = exploitation_step(position, 1.0, best, position * 0, energy,
-                                params, rng, self.fail_objective)
-        np.testing.assert_allclose(out, best, atol=1e-15)
+        evaluate, calls = self.recording(1.0)
+        out = exploitation_step(hawk, best, hawk.position * 0, 0.0, params, rng, evaluate)
+        assert len(calls) == 1
+        np.testing.assert_allclose(out.position, best, atol=1e-15)
 
     def test_soft_besiege_formula(self):
         params = small_params()
-        position = np.array([0.5, 0.5, 0.5])
+        hawk = self.hawk([0.5, 0.5, 0.5], 1.0)
         best = np.array([1.0, -1.0, 2.0])
         e = 0.8
         jump_draw = 0.25  # jump strength 2*(1-0.25) = 1.5
-        energy = EnergyState(e0=0.4, e=e, iteration=0)
         rng = ScriptedRng(uniforms=[0.6, jump_draw])
-        out = exploitation_step(position, 1.0, best, position * 0, energy,
-                                params, rng, self.fail_objective)
-        expect = (best - position) - e * np.abs(1.5 * best - position)
-        np.testing.assert_allclose(out, expect, atol=1e-12)
+        evaluate, calls = self.recording(1.0)
+        out = exploitation_step(hawk, best, hawk.position * 0, e, params, rng, evaluate)
+        expect = (best - hawk.position) - e * np.abs(1.5 * best - hawk.position)
+        assert len(calls) == 1
+        np.testing.assert_allclose(out.position, expect, atol=1e-12)
 
     def test_rapid_dive_accepts_improvement(self):
         params = small_params()
-        position = np.array([3.0, 3.0, 3.0])
+        hawk = self.hawk([3.0, 3.0, 3.0], 10.0)
         best = np.array([0.0, 0.0, 0.0])
         e = 0.6
-        energy = EnergyState(e0=0.3, e=e, iteration=0)
         jump_draw = 0.5  # jump strength 1.0
         rng = ScriptedRng(uniforms=[0.2, jump_draw])
-        out = exploitation_step(position, 10.0, best, position * 0, energy,
-                                params, rng, lambda pos: 0.0)
-        expect = best - e * np.abs(1.0 * best - position)
-        np.testing.assert_allclose(out, expect, atol=1e-12)
+        evaluate, calls = self.recording(0.0)
+        out = exploitation_step(hawk, best, hawk.position * 0, e, params, rng, evaluate)
+        expect = best - e * np.abs(1.0 * best - hawk.position)
+        assert len(calls) == 1
+        assert out.fitness == 0.0
+        np.testing.assert_allclose(out.position, expect, atol=1e-12)
 
     def test_rapid_dive_rejection_returns_incumbent(self):
         params = small_params()
-        position = np.array([3.0, 3.0, 3.0])
+        hawk = self.hawk([3.0, 3.0, 3.0], 1.0)
         best = np.array([0.0, 0.0, 0.0])
-        energy = EnergyState(e0=0.3, e=0.6, iteration=0)
-        # draws: branch r, jump, then the levy swoop (uniform scale of 3,
-        # normals: u-draw 0 then v-draw 1 so the levy step is exactly zero)
+        # draws: branch r, jump, then the levy swoop (uniform scale of 0.1,
+        # normals: u-draw 1 then v-draw 1 so the levy step is 0.01)
+        rng = ScriptedRng(uniforms=[0.2, 0.5, 0.1, 0.1, 0.1],
+                          normals=[1.0, 1.0])
+        evaluate, calls = self.recording(99.0)
+        out = exploitation_step(hawk, best, hawk.position * 0, 0.6, params, rng, evaluate)
+        assert out is None
+        assert len(calls) == 2
+        np.testing.assert_allclose(calls[1] - calls[0], 0.001, atol=1e-12)
+
+    def test_swoop_onto_the_dive_reuses_its_hawk(self):
+        params = small_params()
+        hawk = self.hawk([3.0, 3.0, 3.0], 1.0)
+        best = np.array([0.0, 0.0, 0.0])
+        # normals: u-draw 0 then v-draw 1, so the levy step is exactly zero
         rng = ScriptedRng(uniforms=[0.2, 0.5, 0.1, 0.1, 0.1],
                           normals=[0.0, 1.0])
-        calls = []
-
-        def never_better(candidate):
-            calls.append(candidate.copy())
-            return 99.0
-
-        out = exploitation_step(position, 1.0, best, position * 0, energy,
-                                params, rng, never_better)
-        assert out is position
-        assert len(calls) == 2
+        evaluate, calls = self.recording(99.0)
+        out = exploitation_step(hawk, best, hawk.position * 0, 0.6, params, rng, evaluate)
+        assert out is None
+        assert len(calls) == 1
 
 
 class TestLevyStep:
@@ -425,13 +447,13 @@ class TestRunBhho:
 
     def test_single_iteration_returns_best_initial_hawk(self):
         ds = self.planted(0, n_genes=8)
-        params = HhoParams(n_hawks=2, max_iters=1, dimension=8,
+        params = HhoParams(n_hawks=2, max_iters=1,
                            lower_bound=-1.0, upper_bound=1.0, seed=7)
         fit_cfg = FitnessConfig(seed=3)
-        mask, convergence = run_bhho(ds, params, fit_cfg)
+        mask, curve = run_bhho(ds, params, fit_cfg)
 
         rng = np.random.default_rng(params.seed)
-        positions = init_population(params, rng)
+        positions = init_population(params, 8, rng)
         zero = np.zeros(8, dtype=np.int8)
         score = make_fitness(ds, fit_cfg)
         candidates = []
@@ -440,47 +462,38 @@ class TestRunBhho:
             candidates.append((score(bits), bits))
         expect = min(candidates, key=lambda pair: pair[0])
         assert mask.bits.tolist() == expect[1].tolist()
-        assert convergence.tolist() == [expect[0]]
+        assert curve == [(expect[0], int(expect[1].sum()))]
 
     def test_convergence_monotone(self):
         for seed in (0, 1, 2):
             ds = self.planted(seed)
-            params = HhoParams(n_hawks=6, max_iters=12, dimension=10,
+            params = HhoParams(n_hawks=6, max_iters=12,
                                lower_bound=-1.0, upper_bound=1.0, seed=seed)
-            _mask, convergence = run_bhho(ds, params, FitnessConfig(seed=seed))
-            assert np.all(np.diff(convergence) <= 0.0)
+            _mask, curve = run_bhho(ds, params, FitnessConfig(seed=seed))
+            assert np.all(np.diff([fit for fit, _count in curve]) <= 0.0)
 
-    def test_history_records_every_iteration(self):
+    def test_curve_records_every_iteration(self):
         ds = self.planted(4)
-        params = HhoParams(n_hawks=4, max_iters=6, dimension=10,
+        params = HhoParams(n_hawks=4, max_iters=6,
                            lower_bound=-1.0, upper_bound=1.0, seed=4)
-        history = []
-        mask, _convergence = run_bhho(ds, params, FitnessConfig(seed=4),
-                                      history=history)
-        assert len(history) == 6
-        assert history[-1][1] == mask.selected_count
-
-    def test_dimension_mismatch_rejected(self):
-        ds = self.planted(0)
-        params = HhoParams(n_hawks=4, max_iters=2, dimension=9,
-                           lower_bound=-1.0, upper_bound=1.0, seed=0)
-        with pytest.raises(ConfigError):
-            run_bhho(ds, params, FitnessConfig(seed=0))
+        mask, curve = run_bhho(ds, params, FitnessConfig(seed=4))
+        assert len(curve) == 6
+        assert curve[-1][1] == mask.selected_count
 
     def test_deterministic(self):
         ds = self.planted(5)
-        params = HhoParams(n_hawks=5, max_iters=8, dimension=10,
+        params = HhoParams(n_hawks=5, max_iters=8,
                            lower_bound=-1.0, upper_bound=1.0, seed=11)
         a_mask, a_curve = run_bhho(ds, params, FitnessConfig(seed=11))
         b_mask, b_curve = run_bhho(ds, params, FitnessConfig(seed=11))
         assert a_mask.bits.tolist() == b_mask.bits.tolist()
-        assert a_curve.tolist() == b_curve.tolist()
+        assert a_curve == b_curve
 
     def test_planted_recovery_small(self):
         informative = list(range(3))
         for seed in (0, 1):
             ds = planted_dataset(120, 20, 3, shift=1.5, seed=200 + seed)
-            params = HhoParams(n_hawks=10, max_iters=30, dimension=20,
+            params = HhoParams(n_hawks=10, max_iters=30,
                                lower_bound=-3.0, upper_bound=3.0, seed=seed)
             mask, _curve = run_bhho(ds, params,
                                     FitnessConfig(seed=seed, val_fraction=0.3))
@@ -491,7 +504,8 @@ class TestRunBhho:
 class TestTrajectoryGolden:
     """sha256 of whole searches, recorded from the gather-based k-NN fitness.
 
-    `final` hashes the returned mask bits and the convergence curve, `scored`
+    `final` hashes the returned mask bits and the curve's best fitnesses as
+    float64, `scored`
     every mask the closure scored with its score, in call order. A change to
     any RNG draw, move, transfer rule or fitness value moves them. At
     alpha = 1 the score is the validation error alone, so hawks tie often and
@@ -512,7 +526,7 @@ class TestTrajectoryGolden:
     @pytest.mark.parametrize("transfer, alpha", sorted(GOLDEN))
     def test_trajectory_is_pinned(self, transfer, alpha, monkeypatch):
         ds = planted_dataset(62, 120, 6, shift=1.2, seed=31, positive_fraction=0.645)
-        params = HhoParams(n_hawks=8, max_iters=25, dimension=120, seed=17)
+        params = HhoParams(n_hawks=8, max_iters=25, seed=17)
         scored = hashlib.sha256()
         build = optimizer.make_fitness
 
@@ -528,7 +542,8 @@ class TestTrajectoryGolden:
             return recorded
 
         monkeypatch.setattr(optimizer, "make_fitness", recording_make_fitness)
-        mask, convergence = run_bhho(ds, params, FitnessConfig(alpha=alpha, seed=5),
-                                     transfer=transfer)
-        final = hashlib.sha256(mask.bits.tobytes() + convergence.tobytes()).hexdigest()
+        mask, curve = run_bhho(ds, params, FitnessConfig(alpha=alpha, seed=5),
+                               transfer=transfer)
+        best = np.array([fit for fit, _count in curve], dtype=np.float64)
+        final = hashlib.sha256(mask.bits.tobytes() + best.tobytes()).hexdigest()
         assert (final, scored.hexdigest()) == self.GOLDEN[transfer, alpha]

@@ -142,9 +142,9 @@ class TestRunSelect:
         cfg = PipelineConfig(hho_hawks=5, hho_iters=5, seed=0,
                              out_dir=str(tmp_path / "sel"))
         res = run(cfg, "select", ds=ds)
-        mask, convergence = res.prep.mask, res.prep.convergence
+        mask, history = res.prep.mask, res.prep.history
         assert mask.selected_count >= 1
-        assert len(convergence) == 5
+        assert len(history) == 5
 
         mask_path = tmp_path / "sel" / "mask.csv"
         lines = mask_path.read_text().splitlines()
@@ -253,7 +253,7 @@ class TestLeakageAudit:
         tampered = LabeledDataset(prep.test.features, -prep.test.labels)
         prep_tampered = pipeline.PreparedData(
             train=prep.train, test=tampered, mask=prep.mask,
-            convergence=prep.convergence, history=prep.history, pca=prep.pca,
+            history=prep.history, pca=prep.pca,
             scaler=prep.scaler, k_effective=prep.k_effective,
             input_hash=prep.input_hash, gene_names=prep.gene_names,
         )
