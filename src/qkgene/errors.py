@@ -4,7 +4,10 @@ The CLI maps these onto process exit codes, so every stage raises one of
 the three families below instead of bare ValueError where the failure is
 user-visible: ConfigError for bad settings, DataError for bad input data,
 NumericalError for failures of the numerical machinery itself.
+check_integer is the stage settings' shared check that a count is an
+integer.
 """
+import numbers
 
 
 class ConfigError(ValueError):
@@ -25,3 +28,10 @@ class ConvergenceError(NumericalError):
     def __init__(self, message: str, kkt_violation: float | None = None):
         super().__init__(message)
         self.kkt_violation = kkt_violation
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ConfigError naming the setting unless value is an integer. A
+    float count would construct and then fail inside numpy, with a traceback."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")

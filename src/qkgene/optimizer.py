@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .data_io import LabeledDataset, SplitSpec, split_indices
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_integer
 
 TRANSFER_KINDS = ("s", "v")
 
@@ -38,6 +38,8 @@ class HhoParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer("n_hawks", self.n_hawks)
+        check_integer("max_iters", self.max_iters)
         if self.n_hawks < 2:
             raise ConfigError("n_hawks must be at least 2")
         if self.max_iters < 1:

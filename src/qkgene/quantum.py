@@ -25,11 +25,14 @@ applies its ops reps times.
 Kernel values are state fidelities K(x, z) = |<phi(z)|phi(x)>|^2, the
 all-zeros probability of the compute-uncompute circuit U(z)^dagger U(x).
 Both modes embed each row once per kernel call and take every overlap from
-the cached statevectors. Exact mode returns them; sampled mode replaces each
-one by the hit rate of a finite shot budget, drawn from a generator seeded
-by (seed, i, j). A kernel keeps every row's state, rows x 2^n x 16 bytes,
-and the overlap product conjugates one block of one side's states at a time
-(about 4 MiB, at least 8 rows).
+its statevector. Exact mode returns them; sampled mode replaces each one by
+the hit rate of a finite shot budget, drawn from a generator seeded by
+(seed, i, j). Overlaps are taken one block of right-hand states at a time
+(about 1 MiB, at least 8 rows), each bit-equal to one product over all
+states. The training kernel keeps every row's state, rows x 2^n x 16 bytes,
+plus one conjugated block, and computes only the blocks on or above the
+diagonal. The cross kernel keeps the left rows' states and embeds the right
+rows one block at a time, so it never holds both sides.
 """
 from __future__ import annotations
 
@@ -40,13 +43,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_integer
 
 MAX_QUBITS = 24
 MAX_SHOTS = 1_000_000  # one kernel entry draws shots x 8 bytes of uniforms
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 _H_BLOCK = 5  # qubits per Sylvester product in an H layer (fastest of 5-8 at 12-20 qubits)
-_CONJ_BLOCK_BYTES = 4 << 20  # conjugated right-hand states per fidelity product
+# right-hand states per overlap product: bounds the kernels' extra memory, and
+# at 12 qubits 1 MiB blocks were faster than 8-row or 4 MiB ones
+_CONJ_BLOCK_BYTES = 1 << 20
 _CONJ_BLOCK_ROWS = 8  # a multiple of the BLAS kernels' column unroll
 
 _ARITY = {"h": 1, "phase": 1, "rz": 1, "cx": 2, "ryy": 2}
@@ -390,6 +395,8 @@ class FeatureMapSpec:
     entanglement: str = "linear"
 
     def __post_init__(self):
+        check_integer("n_qubits", self.n_qubits)
+        check_integer("reps", self.reps)
         _check_qubits(self.n_qubits)
         if self.kind not in MAP_KINDS:
             raise ConfigError(f"kind must be one of {MAP_KINDS}, got {self.kind!r}")
@@ -455,6 +462,7 @@ class ShotConfig:
     seed: int = 10598
 
     def __post_init__(self):
+        check_integer("shots", self.shots)
         if not 1 <= self.shots <= MAX_SHOTS:
             raise ConfigError(f"shots must be in 1..{MAX_SHOTS}")
 
@@ -480,28 +488,29 @@ def sampled_kernel_entry(x, z, spec: FeatureMapSpec, shot_config: ShotConfig,
     return _shot_estimate(exact_kernel_entry(x, z, spec), shot_config.shots, rng)
 
 
-def _fidelity_from_states(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """K[i, j] = |<right[j]|left[i]>|^2, clipped to [0, 1].
+def _blocks(rows: int, n_qubits: int):
+    """(start, stop) of each block of rows whose states an overlap product
+    holds at once: _CONJ_BLOCK_BYTES worth of n-qubit states, rounded down to
+    a multiple of _CONJ_BLOCK_ROWS but never fewer, and a last block of one
+    row joins the one before it.
 
-    right is conjugated one block of rows at a time, so the product needs one
-    block, not a conjugated copy of every right-hand state. A block holds
-    _CONJ_BLOCK_BYTES worth of rows, rounded down to a multiple of
-    _CONJ_BLOCK_ROWS but never fewer, and a last block of one row joins the
-    one before it. BLAS computes the columns of a partial unroll group, and a
-    one-column product, with other kernels than a full group; these widths
-    put every column in the same kind of group as the single product
-    left @ right.conj().T does, so every entry is bit-equal to it.
-    """
-    K = np.empty((len(left), len(right)))
-    rows = _CONJ_BLOCK_BYTES // (right.shape[1] * right.itemsize)
-    step = max(_CONJ_BLOCK_ROWS, rows - rows % _CONJ_BLOCK_ROWS)
-    starts = list(range(0, len(right), step))
-    if len(starts) > 1 and len(right) - starts[-1] == 1:
+    BLAS computes the columns of a partial unroll group, and a one-column
+    product, with other kernels than a full group; these widths put every
+    column in the same kind of group as one product over all rows does, so
+    every entry is bit-equal to it."""
+    per_block = _CONJ_BLOCK_BYTES // (16 << n_qubits)  # complex128 amplitudes
+    step = max(_CONJ_BLOCK_ROWS, per_block - per_block % _CONJ_BLOCK_ROWS)
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
         starts.pop()
-    for start, stop in zip(starts, starts[1:] + [len(right)]):
-        overlap = left @ right[start:stop].conj().T
-        np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0, out=K[:, start:stop])
-    return K
+    return zip(starts, starts[1:] + [rows])
+
+
+def _fidelities(left: np.ndarray, conj_block: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = |<block[j]|left[i]>|^2, clipped to [0, 1], from the
+    block's conjugated states."""
+    overlap = left @ conj_block.T
+    np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0, out=out)
 
 
 def _check_mode(mode: str, shot_config: ShotConfig | None) -> None:
@@ -529,7 +538,12 @@ def kernel_matrix(X, spec: FeatureMapSpec, mode: str = "exact",
     _check_mode(mode, shot_config)
     X = np.asarray(X, dtype=np.float64)
     states = _embedding_matrix(X, spec)
-    K = _fidelity_from_states(states, states)
+    K = np.empty((len(states), len(states)))
+    # only the blocks on or above the diagonal, which triu keeps. Each block's
+    # left rows end at a block boundary or at the last row, so BLAS groups
+    # them as it does in one product over all rows.
+    for start, stop in _blocks(len(states), spec.n_qubits):
+        _fidelities(states[:stop], states[start:stop].conj(), K[:stop, start:stop])
     K = np.triu(K, 1)
     K = K + K.T  # bit-exact symmetry regardless of BLAS summation order
     np.fill_diagonal(K, 1.0)
@@ -540,12 +554,19 @@ def kernel_matrix(X, spec: FeatureMapSpec, mode: str = "exact",
 
 def cross_kernel_matrix(X_left, X_right, spec: FeatureMapSpec, mode: str = "exact",
                         shot_config: ShotConfig | None = None) -> np.ndarray:
-    """Rectangular fidelity kernel K[i, j] = k(X_left[i], X_right[j])."""
+    """Rectangular fidelity kernel K[i, j] = k(X_left[i], X_right[j]).
+
+    The left rows' states are embedded once and kept; the right rows are
+    embedded one block at a time, so the two sides are never held at once."""
     _check_mode(mode, shot_config)
     X_left = np.asarray(X_left, dtype=np.float64)
     X_right = np.asarray(X_right, dtype=np.float64)
-    K = _fidelity_from_states(_embedding_matrix(X_left, spec),
-                              _embedding_matrix(X_right, spec))
+    left = _embedding_matrix(X_left, spec)
+    K = np.empty((len(X_left), len(X_right)))
+    for start, stop in _blocks(len(X_right), spec.n_qubits):
+        block = _embedding_matrix(X_right[start:stop], spec)
+        _fidelities(left, np.conjugate(block, out=block), K[:, start:stop])
+        del block  # freed before the next block is embedded
     if mode == "sampled":
         _draw_shots(K, shot_config, square=False)
     return K

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import LabeledDataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class SmoteConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer("k_neighbors", self.k_neighbors)
         if self.k_neighbors < 1:
             raise ConfigError("k_neighbors must be at least 1")
 

@@ -259,6 +259,23 @@ def gatewise_kernel(left, right, spec) -> np.ndarray:
     return np.array([[abs(np.vdot(z, x)) ** 2 for z in right_states] for x in states(left)])
 
 
+def fidelity_one_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """K[i, j] = |<right[j]|left[i]>|^2, clipped to [0, 1], from one product
+    over every pair of states: the reference for the kernels' blocked
+    products."""
+    overlap = left @ right.conj().T
+    return np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0)
+
+
+def square_kernel_one_product(states: np.ndarray) -> np.ndarray:
+    """The exact training kernel over the states from one full product: its
+    strict upper triangle mirrored, with ones on the diagonal."""
+    K = np.triu(fidelity_one_product(states, states), 1)
+    K = K + K.T
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
 def inverse_gate(gate: Gate) -> Gate:
     """The gate's inverse: negated angle for PHASE, RZ and RYY; H and CX are
     self-inverse."""

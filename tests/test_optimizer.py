@@ -78,6 +78,13 @@ class TestParamsAndPopulation:
             with pytest.raises(ConfigError):
                 small_params(lower_bound=low, upper_bound=high)
 
+    @pytest.mark.parametrize("field", ["n_hawks", "max_iters"])
+    def test_non_integer_count_rejected(self, field):
+        """A float count used to construct and then fail inside numpy."""
+        with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got 2\.5$"):
+            small_params(**{field: 2.5})
+        assert getattr(small_params(**{field: np.int64(3)}), field) == 3
+
     def test_degenerate_box_collapses_to_lower_bound(self):
         params = small_params(lower_bound=1.0, upper_bound=1.0 + 1e-12)
         pop = init_population(params, 3)

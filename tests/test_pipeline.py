@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,9 +423,20 @@ class TestColonScale:
             smote_targets=((1, 49), (-1, 31)),
             out_dir=str(tmp_path / "colon"),
         )
-        payload = run(cfg, "evaluate", use_selection=True, ds=ds).metrics
+        tracemalloc.start()
+        try:
+            payload = run(cfg, "evaluate", use_selection=True, ds=ds).metrics
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert payload["n_train"] == 80
         assert payload["pca_k"] == 20
+        # README "Memory and scale": the kernel stage peaks under
+        # (max(n_train, n_test) + b + 3) states of 2^20 amplitudes, where a
+        # 16 MiB state makes a block the minimum of 8 rows; 32 MiB covers the
+        # other stages and the kernel matrices.
+        states = max(payload["n_train"], payload["n_test"]) + quantum._CONJ_BLOCK_ROWS + 3
+        assert peak < states * (16 << 20) + (32 << 20)
 
         kernel_lines = [
             l for l in

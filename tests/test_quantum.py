@@ -20,7 +20,6 @@ from qkgene.quantum import (
     apply_gate,
     build_feature_map,
     _embedding_matrix,
-    _fidelity_from_states,
     cross_kernel_matrix,
     embedding_state,
     exact_kernel_entry,
@@ -38,11 +37,13 @@ from oracles import (
     dense_gate_unitary,
     dense_h,
     dense_phase,
+    fidelity_one_product,
     gatewise_kernel,
     inverse_circuit,
     run_circuit_gatewise,
     run_circuit_walk,
     sampled_kernel_circuit,
+    square_kernel_one_product,
 )
 
 RSQRT2 = 2 ** -0.5
@@ -383,6 +384,12 @@ class TestFeatureMaps:
             with pytest.raises(ConfigError):
                 FeatureMapSpec(1, kind)
 
+    @pytest.mark.parametrize("field", ["n_qubits", "reps"])
+    def test_non_integer_count_rejected(self, field):
+        with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got 2\.0$"):
+            FeatureMapSpec(**{"n_qubits": 2, field: 2.0})
+        assert getattr(FeatureMapSpec(**{"n_qubits": 2, field: np.int64(2)}), field) == 2
+
     def test_feature_width_checked(self):
         with pytest.raises(ConfigError):
             build_feature_map(FeatureMapSpec(2, "zz"), [0.1, 0.2, 0.3])
@@ -532,6 +539,10 @@ class TestKernelMatrices:
         with pytest.raises(ConfigError):
             kernel_matrix(np.zeros((2, 2)), FeatureMapSpec(2, "zz"), mode="sampled")
 
+    def test_shot_config_rejects_non_integer_shots(self):
+        with pytest.raises(ConfigError, match=r"^shots must be an integer, got 2\.5$"):
+            ShotConfig(shots=2.5)
+
     def test_shot_config_caps_shots(self):
         assert ShotConfig(shots=MAX_SHOTS).shots == MAX_SHOTS
         with pytest.raises(ConfigError, match=r"^shots must be in 1\.\.1000000$"):
@@ -559,40 +570,73 @@ class TestKernelMatrices:
                     exact_kernel_entry(left[i], right[j], spec), abs=1e-12
                 )
 
-    def test_fidelity_blocks_equal_one_product(self, monkeypatch):
-        """Conjugating the right-hand states in blocks leaves every entry
-        bit-equal to the single product over all of them, at every row count
-        against blocks of 8 and 16 rows."""
-        rng = np.random.default_rng(17)
-        for qubits in (1, 3, 6):
-            dim = 1 << qubits
-            for budget_rows in (1, 8, 12, 16, 17):
-                monkeypatch.setattr(quantum, "_CONJ_BLOCK_BYTES", budget_rows * dim * 16)
-                for n_left in (1, 2, 5):
-                    for n_right in range(1, 42):
-                        left, right = (rng.standard_normal((rows, dim))
-                                       + 1j * rng.standard_normal((rows, dim))
-                                       for rows in (n_left, n_right))
-                        overlap = left @ right.conj().T
-                        expect = np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0)
-                        got = _fidelity_from_states(left, right)
-                        assert got.tobytes() == expect.tobytes(), (qubits, budget_rows,
-                                                                   n_left, n_right)
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_blocked_products_equal_one_product(self, monkeypatch, kind):
+        """The training kernel's upper-triangle blocks and the cross kernel's
+        streamed blocks leave every entry bit-equal to one product over all
+        states, at 1-12 qubits, every row count up to 41 and 150/151 rows,
+        against blocks of 8, 8, 16 and 16 rows (budgets of 1, 8, 16 and 17
+        rows): 9, 17, 25, 33 and 41 rows end in a one-row block that joins
+        the one before it. Each row's state is embedded once, up front, and
+        the kernels look it up, so the test's time goes to the products."""
+        row_counts = [*range(1, 42), 150, 151]
+        for qubits in range(1 if kind == "z" else 2, 13):
+            spec = FeatureMapSpec(qubits, kind, reps=3)
+            X = np.random.default_rng(qubits).uniform(0.0, math.pi, size=(151 + 16, qubits))
+            table = _embedding_matrix(X, spec)
+            state_of = {x.tobytes(): state for x, state in zip(X, table)}
+            monkeypatch.setattr(quantum, "_embedding_matrix", lambda rows, _spec: np.array(
+                [state_of[x.tobytes()] for x in rows]).reshape(len(rows), -1))
+            for budget_rows in (1, 8, 16, 17):
+                monkeypatch.setattr(quantum, "_CONJ_BLOCK_BYTES", budget_rows * (16 << qubits))
+                for rows in row_counts:
+                    n_left = (1, 2, 5, 16)[rows % 4]
+                    square = kernel_matrix(X[:rows], spec)
+                    cross = cross_kernel_matrix(X[-n_left:], X[:rows], spec)
+                    case = (qubits, budget_rows, rows)
+                    assert square.tobytes() == square_kernel_one_product(
+                        table[:rows]).tobytes(), case
+                    assert cross.tobytes() == fidelity_one_product(
+                        table[-n_left:], table[:rows]).tobytes(), case
+            monkeypatch.undo()
 
-    def test_fidelity_conjugates_one_block_at_a_time(self, monkeypatch):
-        """The product's extra memory is one block of right-hand states, not
-        a conjugated copy of all of them."""
-        rng = np.random.default_rng(16)
-        left = rng.standard_normal((4, 1024)) + 0j
-        right = rng.standard_normal((256, 1024)) + 0j
-        monkeypatch.setattr(quantum, "_CONJ_BLOCK_BYTES", 64 << 10)
+    @staticmethod
+    def _peak_bytes(call) -> int:
         tracemalloc.start()
         try:
-            _fidelity_from_states(left, right)
-            _current, peak = tracemalloc.get_traced_memory()
+            call()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < right.nbytes // 8
+
+    # A 12-qubit circuit peaks under 2.5 states (test_circuit_keeps_no_state_alive
+    # holds 14 qubits there), so 3 states of slack cover one row's embedding.
+    STATE_BYTES = 16 << 12
+
+    def test_square_kernel_holds_its_states_and_one_block(self, monkeypatch):
+        """The training kernel peaks at its rows' states plus one block of
+        conjugated states, or one circuit while embedding, plus its n x n
+        float matrices."""
+        spec = FeatureMapSpec(12, "zz", reps=3)
+        X = np.random.default_rng(18).uniform(0.0, math.pi, size=(40, 12))
+        monkeypatch.setattr(quantum, "_CONJ_BLOCK_BYTES", 8 * self.STATE_BYTES)
+        kernel_matrix(X[:2], spec)  # warm the per-register caches
+        peak = self._peak_bytes(lambda: kernel_matrix(X, spec))
+        assert peak < (40 + 8 + 3) * self.STATE_BYTES + 4 * X.shape[0] ** 2 * 8
+
+    def test_cross_kernel_holds_one_side_and_one_block(self, monkeypatch):
+        """The cross kernel keeps the left rows' states and embeds the right
+        rows one block at a time, so it peaks at the left states plus one
+        block plus one circuit, never at both sides' states (80 states here
+        when it held them)."""
+        spec = FeatureMapSpec(12, "zz", reps=3)
+        rng = np.random.default_rng(19)
+        left = rng.uniform(0.0, math.pi, size=(8, 12))
+        right = rng.uniform(0.0, math.pi, size=(64, 12))
+        monkeypatch.setattr(quantum, "_CONJ_BLOCK_BYTES", 8 * self.STATE_BYTES)
+        cross_kernel_matrix(left[:1], right[:1], spec)  # warm the per-register caches
+        peak = self._peak_bytes(lambda: cross_kernel_matrix(left, right, spec))
+        assert peak < (8 + 8 + 3) * self.STATE_BYTES + 4 * len(left) * len(right) * 8
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_kernels_run_one_circuit_per_row(self, monkeypatch, mode):
@@ -673,7 +717,7 @@ class TestEmbeddingGolden:
     every map at 4, 6 and 12 qubits, recorded from the per-gate builder and
     the single-product fidelity. A change to any angle, gate, simulator step
     or overlap product moves them. At 12 qubits the 130 rows split the
-    fidelity product into blocks of 64, 64 and 2 rows."""
+    fidelity product into blocks of 16 rows and a last one of 2."""
 
     GOLDEN = {
         ("z", 4): ("7342077143bfdc1a5ca1cd3280e710a4df3a6b01b6d82dfa57ccbc231426869c",

@@ -120,6 +120,10 @@ class TestSmote:
         with pytest.raises(ConfigError):
             SmoteConfig(k_neighbors=0)
 
+    def test_non_integer_k_rejected(self):
+        with pytest.raises(ConfigError, match=r"^k_neighbors must be an integer, got 2\.5$"):
+            SmoteConfig(k_neighbors=2.5)
+
     @given(
         n_pos=st.integers(3, 10),
         n_neg=st.integers(3, 10),
