@@ -570,6 +570,40 @@ class TestKernelMatrices:
                     exact_kernel_entry(left[i], right[j], spec), abs=1e-12
                 )
 
+    @staticmethod
+    def _embed_by_index(monkeypatch, table):
+        """Make each row of a kernel's input the index of its state in table,
+        so the kernels' products run on arbitrary states."""
+        monkeypatch.setattr(quantum, "_embedding_matrix",
+                            lambda rows, _spec: table[rows[:, 0].astype(np.intp)])
+
+    def test_fidelity_blocks_equal_one_product(self, monkeypatch):
+        """Taking the overlaps one block of right-hand states at a time leaves
+        every entry bit-equal to the single product over all of them, for
+        unnormalised random states at every row count against blocks of 8
+        and 16 rows."""
+        rng = np.random.default_rng(17)
+        for qubits in (1, 3, 6):
+            dim = 1 << qubits
+            spec = FeatureMapSpec(qubits, "z")
+            for budget_rows in (1, 8, 12, 16, 17):
+                monkeypatch.setattr(quantum, "_CONJ_BLOCK_BYTES", budget_rows * dim * 16)
+                for n_left in (1, 2, 5):
+                    for n_right in range(1, 42):
+                        left, right = (rng.standard_normal((rows, dim))
+                                       + 1j * rng.standard_normal((rows, dim))
+                                       for rows in (n_left, n_right))
+                        self._embed_by_index(monkeypatch, np.concatenate([left, right]))
+                        left_idx = np.arange(n_left, dtype=float)[:, None]
+                        right_idx = np.arange(n_left, n_left + n_right, dtype=float)[:, None]
+                        case = (qubits, budget_rows, n_left, n_right)
+                        got = cross_kernel_matrix(left_idx, right_idx, spec)
+                        assert got.tobytes() == fidelity_one_product(
+                            left, right).tobytes(), case
+                        got = kernel_matrix(right_idx, spec)
+                        assert got.tobytes() == square_kernel_one_product(
+                            right).tobytes(), case
+
     @pytest.mark.parametrize("kind", MAP_KINDS)
     def test_blocked_products_equal_one_product(self, monkeypatch, kind):
         """The training kernel's upper-triangle blocks and the cross kernel's
@@ -637,6 +671,23 @@ class TestKernelMatrices:
         cross_kernel_matrix(left[:1], right[:1], spec)  # warm the per-register caches
         peak = self._peak_bytes(lambda: cross_kernel_matrix(left, right, spec))
         assert peak < (8 + 8 + 3) * self.STATE_BYTES + 4 * len(left) * len(right) * 8
+
+    def test_fidelity_conjugates_one_block_at_a_time(self, monkeypatch):
+        """The overlap products' extra memory is one block of conjugated
+        states, not a conjugated copy of all of them: both kernels stay under
+        an eighth of the 128 states' bytes with 8-row blocks."""
+        rng = np.random.default_rng(16)
+        spec = FeatureMapSpec(12, "zz")
+        states = (rng.standard_normal((128, 1 << 12))
+                  + 1j * rng.standard_normal((128, 1 << 12)))
+        monkeypatch.setattr(quantum, "_CONJ_BLOCK_BYTES", 8 * self.STATE_BYTES)
+        rows = np.arange(len(states), dtype=float)[:, None]
+        # the training kernel is handed the states as they are, without a copy
+        monkeypatch.setattr(quantum, "_embedding_matrix", lambda _rows, _spec: states)
+        assert self._peak_bytes(lambda: kernel_matrix(rows, spec)) < states.nbytes // 8
+        self._embed_by_index(monkeypatch, states)
+        assert (self._peak_bytes(lambda: cross_kernel_matrix(rows[:4], rows, spec))
+                < states.nbytes // 8)
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_kernels_run_one_circuit_per_row(self, monkeypatch, mode):
