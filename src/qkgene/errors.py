@@ -4,8 +4,8 @@ The CLI maps these onto process exit codes, so every stage raises one of
 the three families below instead of bare ValueError where the failure is
 user-visible: ConfigError for bad settings, DataError for bad input data,
 NumericalError for failures of the numerical machinery itself.
-check_integer is the stage settings' shared check that a count is an
-integer.
+check_integer is the shared check, of the config and of the stage
+settings, that a count is an integer.
 """
 import numbers
 
@@ -31,7 +31,8 @@ class ConvergenceError(NumericalError):
 
 
 def check_integer(name: str, value) -> None:
-    """Raise ConfigError naming the setting unless value is an integer. A
-    float count would construct and then fail inside numpy, with a traceback."""
-    if not isinstance(value, numbers.Integral):
+    """Raise ConfigError naming the setting unless value is an integer, and
+    not a bool. A float count would construct and then fail inside numpy,
+    with a traceback."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")

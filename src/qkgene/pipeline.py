@@ -28,7 +28,7 @@ from .data_io import (LabeledDataset, PhaseScaler, SplitSpec, load_csv, long_for
 # under its old name: perfbench/tracer.py times the pipeline's CSV writes by
 # wrapping pipeline._write_csv, which the writers below look up at call time
 from .data_io import write_csv as _write_csv
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .optimizer import FeatureMask, FitnessConfig, HhoParams, run_bhho
 from .sampling import SmoteConfig, smote_oversample
 
@@ -63,7 +63,9 @@ _POSITIVE = (lambda v: v > 0), "must be positive"
 class PipelineConfig:
     """The one config schema: each field carries its dotted key and its check.
 
-    Every float must also be finite. smote_targets has no key of its own; it
+    Every int must also be an integer, not a bool or a float such as 3.0
+    (only library callers can pass one; the CLI converts text with int()),
+    and every float must be finite. smote_targets has no key of its own; it
     collects the smote.targets.<class> keys.
     """
     data_path: str = _key("data.path", "")
@@ -105,6 +107,8 @@ class PipelineConfig:
         for f in fields(self):
             key, check = f.metadata.get("key"), f.metadata.get("check")
             value = getattr(self, f.name)
+            if f.type == "int":
+                check_integer(key, value)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite")
             if check is not None and not check(value):

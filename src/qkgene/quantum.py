@@ -6,21 +6,19 @@ reshaping the amplitude vector, never on full 2^n x 2^n matrices, which
 keeps circuits with around 20 qubits feasible. The supported gate set is
 exactly what the embeddings need: H, PHASE, RZ, CX, RYY.
 
-run_circuit compiles the gate list into fused ops, then applies them. n
-consecutive H gates on n distinct qubits are one H^(x)n layer, applied as a
-few matrix products with small Sylvester Hadamard matrices. Consecutive
-PHASE, RZ and CX(a,b)·RZ(b,φ)·CX(a,b) gates fold into phase factors over
-the two halves of the register, applied as two broadcast multiplies of the
-state. Every other gate is applied on its own. An H layer on |0...0> is a
-constant fill. A circuit peaks at under two and a half states: its own plus
-an H layer's product or a lone gate's blocks. A compiled op holds at most
-2^ceil(n/2) + 2^floor(n/2) amplitudes and lives only during the call.
-
-A feature map's gate list repeats one repetition reps times. Its angle-free
-gates (H and CX) are built once per register size and shared by every row;
-the gates with angles are built once per row and shared by its repetitions.
-run_circuit finds that repetition by object identity, compiles it once and
-applies its ops reps times.
+run_circuit applies a gate list to |0...0> one gate at a time, except a
+feature map's list as build_feature_map returned it. That list carries its
+spec and row, and while it holds the gate objects it was built with, it
+runs as a program built from angles (_embed). A linear-chain map has one
+pair across the register's middle cut, so each repetition at most doubles
+the state's Schmidt rank across it (Vidal, quant-ph/0301063). The program
+keeps the state as a sum of at most 2^reps products of a high-half and a
+low-half vector of about 2^(n/2) amplitudes each, applies every layer and
+diagonal to those, and materializes the state once at the end. If the
+terms would hold more amplitudes than the state, it materializes then and
+finishes on the full register. A circuit peaks at about one state plus its
+terms while it stays factored, and at about two states on the full
+register: the state plus one layer product or one diagonal.
 
 Kernel values are state fidelities K(x, z) = |<phi(z)|phi(x)>|^2, the
 all-zeros probability of the compute-uncompute circuit U(z)^dagger U(x).
@@ -36,6 +34,7 @@ rows one block at a time, so it never holds both sides.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -48,7 +47,7 @@ from .errors import ConfigError, NumericalError, check_integer
 MAX_QUBITS = 24
 MAX_SHOTS = 1_000_000  # one kernel entry draws shots x 8 bytes of uniforms
 _RSQRT2 = 1.0 / math.sqrt(2.0)
-_H_BLOCK = 5  # qubits per Sylvester product in an H layer (fastest of 5-8 at 12-20 qubits)
+_LAYER_BLOCK = 6  # qubits per Kronecker-power product in a layer: one per half at 12 qubits
 # right-hand states per overlap product: bounds the kernels' extra memory, and
 # at 12 qubits 1 MiB blocks were faster than 8-row or 4 MiB ones
 _CONJ_BLOCK_BYTES = 1 << 20
@@ -180,213 +179,6 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return Statevector(amps, state.n_qubits)
 
 
-@functools.cache
-def _sylvester(k: int) -> np.ndarray:
-    """H^(x)k as a read-only 2^k x 2^k float matrix (Sylvester's construction)."""
-    h = np.ones((1, 1))
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
-    h *= 2.0 ** (-0.5 * k)
-    h.flags.writeable = False
-    return h
-
-
-@functools.cache
-def _bit_table(k: int) -> np.ndarray:
-    """Read-only (2^k, k) table whose row i holds the bits of i, low bit first."""
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    bits.flags.writeable = False
-    return bits
-
-
-def _hadamard_layer(amps: np.ndarray, n_qubits: int) -> None:
-    """H on every qubit, in place: H^(x)k on each block of up to _H_BLOCK
-    qubits, as one product with a Sylvester matrix. Small matrices keep the
-    work near n·2^n; above the lowest block, each block value's amplitudes
-    are contiguous runs, so the real matrix multiplies their float64 view."""
-    k = min(n_qubits, _H_BLOCK)
-    low = amps.reshape(-1, 1 << k)
-    low[...] = low @ _sylvester(k)
-    for start in range(k, n_qubits, _H_BLOCK):
-        k = min(_H_BLOCK, n_qubits - start)
-        view = amps.view(np.float64).reshape(-1, 1 << k, 2 << start)
-        view[...] = _sylvester(k) @ view
-
-
-_PARITY = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _uniform_amplitude(n_qubits: int) -> float:
-    """The amplitude _hadamard_layer gives every basis state of |0...0>.
-
-    The lowest block's product leaves the first row of its Sylvester matrix,
-    and each higher block multiplies by its matrix's first column, adding
-    only signed zeros, so every amplitude is the product of the blocks'
-    scales taken in block order, with a +0 imaginary part."""
-    amp = 1.0
-    for start in range(0, n_qubits, _H_BLOCK):
-        amp *= _sylvester(min(_H_BLOCK, n_qubits - start))[0, 0]
-    return amp
-
-
-def _diagonal_op(gates, i: int, n_qubits: int):
-    """The op multiplying a state, in place, by the phases of the run of
-    diagonal gates that starts at gates[i], and the index after the run.
-
-    The run folds into angles: basis state j gets the phase offset +
-    sum_q slope[q]·bit_q(j) + sum_k w_k·parity(a_k, b_k)(j). PHASE(q,φ) adds
-    φ to slope[q], RZ(q,φ) also adds -φ/2 to offset, and CX(a,b)·RZ(b,φ)·CX(a,b),
-    whose phase is φ·(parity(a,b) - 1/2), adds the pair term (a, b, φ) and
-    -φ/2 to offset. The op multiplies the state by exp(1j·angles) over the
-    high and over the low half of the register, then by one broadcast 2x2
-    factor for each pair term with a qubit in each half. The factors are
-    computed here, once: 2^ceil(n/2) + 2^floor(n/2) amplitudes and a 2x2
-    table per cross pair.
-    """
-    offset = 0.0
-    slope = np.zeros(n_qubits)
-    pairs = []
-    while i < len(gates):
-        gate = gates[i]
-        kind = gate.kind
-        if kind == "phase" or kind == "rz":
-            _check_register(gate, n_qubits)
-            slope[gate.qubits[0]] += gate.angle
-            if kind == "rz":
-                offset -= 0.5 * gate.angle
-            i += 1
-        elif _is_sandwich(gates, i):
-            _check_register(gate, n_qubits)
-            phi = gates[i + 1].angle
-            pairs.append((*sorted(gate.qubits), phi))
-            offset -= 0.5 * phi
-            i += 3
-        else:
-            break
-    pairs = np.array(pairs).reshape(-1, 3)
-    a, b, w = pairs[:, 0].astype(np.intp), pairs[:, 1].astype(np.intp), pairs[:, 2]
-    n_lo = n_qubits // 2
-    low, high = b < n_lo, a >= n_lo
-    cross = ~(low | high)
-    hi_angles = _half_angles(slope[n_lo:], a[high] - n_lo, b[high] - n_lo, w[high])
-    lo_angles = _half_angles(slope[:n_lo], a[low], b[low], w[low]) + offset
-    hi_factor = np.exp(1j * hi_angles)[:, None]
-    lo_factor = np.exp(1j * lo_angles)
-    cross_factors = [((-1, 2, 1 << (qb - qa - 1), 2, 1 << qa),
-                      np.exp(1j * weight * _PARITY)[:, None, :, None])
-                     for qa, qb, weight in zip(a[cross], b[cross], w[cross])]
-
-    def apply(amps: np.ndarray, _n_qubits: int) -> None:
-        halves = amps.reshape(-1, 1 << n_lo)
-        halves *= hi_factor
-        halves *= lo_factor
-        for shape, factor in cross_factors:
-            view = amps.reshape(shape)
-            view *= factor
-
-    return apply, i
-
-
-def _half_angles(slope: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 weight: np.ndarray) -> np.ndarray:
-    """slope·bits + weight·parity over all 2^k patterns of k = len(slope) qubits."""
-    bits = _bit_table(len(slope))
-    return bits @ slope + (bits[:, a] ^ bits[:, b]) @ weight
-
-
-def _is_sandwich(gates, i: int) -> bool:
-    """gates[i:i+3] is CX(a,b), RZ(b,φ), CX(a,b)."""
-    if i + 2 >= len(gates):
-        return False
-    cx, rz, last = gates[i], gates[i + 1], gates[i + 2]
-    return (cx.kind == "cx" and rz.kind == "rz" and rz.qubits[0] == cx.qubits[1]
-            and (last is cx or last == cx))
-
-
-def _is_layer(gates, i: int, n_qubits: int) -> bool:
-    """gates[i:i+n] is H on each of the n qubits, in any order."""
-    layer = gates[i:i + n_qubits]
-    return (len(layer) == n_qubits
-            and {g.qubits[0] for g in layer if g.kind == "h"} == set(range(n_qubits)))
-
-
-def _compile(gates, n_qubits: int, start: int, stop: int):
-    """The fused ops of the walk over gates that begin at start and before
-    stop, and the index where the last of them ends. Each op is called as
-    op(amps, n_qubits). The walk looks at the whole list, so a diagonal run
-    or an H layer that begins before stop may end after it."""
-    ops = []
-    i = start
-    while i < stop:
-        gate = gates[i]
-        if gate.kind == "phase" or gate.kind == "rz" or _is_sandwich(gates, i):
-            op, i = _diagonal_op(gates, i, n_qubits)
-        elif gate.kind == "h" and _is_layer(gates, i, n_qubits):
-            op = _hadamard_layer
-            i += n_qubits
-        else:
-            _check_register(gate, n_qubits)
-            op = functools.partial(_apply_inplace, gate=gate)
-            i += 1
-        ops.append(op)
-    return ops, i
-
-
-def _period(gates) -> int:
-    """Length of the shortest segment that gates is, as the same objects,
-    repeated a whole number of times; len(gates) when there is none."""
-    size = len(gates)
-    for period in range(1, size // 2 + 1):
-        if (size % period == 0 and gates[period] is gates[0]
-                and all(map(operator.is_, gates[period:], gates))):
-            return period
-    return size
-
-
-def _fused_ops(gates, n_qubits: int) -> list:
-    """The fused ops of the whole gate list, in order.
-
-    When the list repeats one segment as the same objects, only the first
-    copy is walked, in the context of the whole list, and its ops are
-    repeated. That is exact when the first copy's last op ends at the cut.
-    Every later copy then walks the same way: a look-ahead across a cut (a
-    diagonal run going on, a CX·RZ·CX or an H layer starting) reads the
-    same gates as in the first copy, or fewer at the end of the list, and
-    fewer can only answer no, as the first copy's walk did. Otherwise the
-    walk goes on through the whole list."""
-    period = _period(gates)
-    ops, end = _compile(gates, n_qubits, 0, period)
-    if end != period:
-        return ops + _compile(gates, n_qubits, end, len(gates))[0]
-    return ops * (len(gates) // max(period, 1))  # an empty list has period 0
-
-
-def run_circuit(gates, n_qubits: int) -> Statevector:
-    """Final state of the gates applied to |0...0>.
-
-    Equal to applying the gates one at a time, with fusion: n consecutive H
-    gates on n distinct qubits of an n-qubit register are one H^(x)n layer,
-    and consecutive PHASE, RZ and CX·RZ·CX sandwich gates are folded into
-    one diagonal (see _diagonal_op). Every other gate runs on its own. A
-    segment repeated as the same objects is compiled once (see _fused_ops),
-    and a leading H layer on |0...0> is a constant fill.
-    """
-    _check_qubits(n_qubits)
-    ops = _fused_ops(list(gates), n_qubits)
-    if ops and ops[0] is _hadamard_layer:
-        amps = np.full(1 << n_qubits, _uniform_amplitude(n_qubits), dtype=np.complex128)
-        ops = ops[1:]
-    else:
-        amps = zero_state(n_qubits).amplitudes
-    for op in ops:
-        op(amps, n_qubits)
-    state = Statevector(amps, n_qubits)
-    norm = state.norm()
-    if abs(norm - 1.0) > 1e-9:
-        raise NumericalError(f"statevector norm drifted to {norm}")
-    return state
-
-
 @dataclass(frozen=True)
 class FeatureMapSpec:
     n_qubits: int
@@ -416,6 +208,20 @@ def _fixed_gates(n_qubits: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
             tuple(Gate.cx(q, q + 1) for q in range(n_qubits - 1)))
 
 
+class _FeatureMap(list):
+    """A feature map's gate list that carries the spec and the row it embeds.
+    run_circuit runs it as _embed(spec, x) while it holds exactly the gate
+    objects it was built with, and gate by gate once it is changed."""
+
+    def __init__(self, gates: list[Gate], spec: FeatureMapSpec, x: np.ndarray):
+        super().__init__(gates)
+        self.spec, self.x, self._built = spec, x, tuple(gates)
+
+    def is_as_built(self, n_qubits: int) -> bool:
+        return (n_qubits == self.spec.n_qubits and len(self) == len(self._built)
+                and all(map(operator.is_, self, self._built)))
+
+
 def build_feature_map(spec: FeatureMapSpec, x) -> list[Gate]:
     """Gate list embedding x: per repetition an H layer, single-qubit phases
     2*x_q, then the pairwise entangler (none for 'z', CX-RZ-CX for 'zz',
@@ -423,8 +229,9 @@ def build_feature_map(spec: FeatureMapSpec, x) -> list[Gate]:
 
     Every repetition is the same gates, so one is built and the returned
     list repeats its (frozen) objects; the H and CX gates are shared by all
-    rows of a register size. The list itself is new on every call."""
-    x = np.asarray(x, dtype=np.float64)
+    rows of a register size. The list itself is new on every call, and
+    keeps its own copy of x for run_circuit."""
+    x = np.array(x, dtype=np.float64)
     if x.shape != (spec.n_qubits,):
         raise ConfigError(f"expected {spec.n_qubits} features, got {x.shape}")
     h_layer, cx_pairs = _fixed_gates(spec.n_qubits)
@@ -436,7 +243,164 @@ def build_feature_map(spec: FeatureMapSpec, x) -> list[Gate]:
             rep += (cx, Gate.rz(cx.qubits[1], angle), cx)
     elif spec.kind == "pauli_zyy":
         rep += [Gate.ryy(*cx.qubits, angle) for cx, angle in zip(cx_pairs, pair_angles)]
-    return rep * spec.reps
+    return _FeatureMap(rep * spec.reps, spec, x)
+
+
+# The one-qubit matrices of the embedding's layers: H, and the frame V = S·H,
+# in which V Z V† = Y, so RYY(φ) = (V⊗V)·exp(-iφ/2 Z⊗Z)·(V†⊗V†).
+_LAYERS = {"h": np.array([[1.0, 1.0], [1.0, -1.0]]) * _RSQRT2,
+           "v": np.array([[1.0, 1.0], [1.0j, -1.0j]]) * _RSQRT2}
+_LAYERS["v_dag"] = _LAYERS["v"].conj().T
+_LAYERS["v_then_h"] = _LAYERS["h"] @ _LAYERS["v"]
+
+
+@functools.cache
+def _kron_power(layer: str, k: int) -> np.ndarray:
+    """The named layer's 2x2 matrix on each of k qubits: a read-only
+    2^k x 2^k Kronecker power, real for H and complex for the others."""
+    power = np.ones((1, 1))
+    for _ in range(k):
+        power = np.kron(power, _LAYERS[layer])
+    power.flags.writeable = False
+    return power
+
+
+def _layer(amps: np.ndarray, layer: str, n_qubits: int, width: int) -> None:
+    """Apply the named 2x2 matrix, in place, to every qubit of each (2^n,)
+    column of amps read in C order as (batch, 2^n, width). Each block of up
+    to _LAYER_BLOCK qubits is one product with its Kronecker power, a real
+    one (H) on the float64 view of the amplitudes, so the work stays near
+    n·2^n per column and the only temporary is one product."""
+    for start in range(0, n_qubits, _LAYER_BLOCK):
+        k = min(_LAYER_BLOCK, n_qubits - start)
+        power = _kron_power(layer, k)
+        if power.dtype == np.float64:
+            view = amps.view(np.float64).reshape(-1, 1 << k, (2 * width) << start)
+        else:
+            view = amps.reshape(-1, 1 << k, width << start)
+        view[...] = power @ view
+
+
+@functools.cache
+def _diagonal_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float tables whose rows are the values of the high qubits
+    (n_lo = n // 2 and up), then those of the low ones. angles holds each
+    row's n bits and the n - 1 linear pairs' parities, with the pair across
+    the cut, (n_lo - 1, n_lo), left out. signs holds 1 and (-1)^bit of that
+    pair's qubit in the row's half."""
+    n_lo = n_qubits // 2
+    rows = np.concatenate([np.arange(1 << (n_qubits - n_lo)) << n_lo, np.arange(1 << n_lo)])
+    bits = (rows[:, None] >> np.arange(n_qubits)) & 1
+    parities = bits[:, :-1] ^ bits[:, 1:]
+    signs = np.ones((len(rows), 2))
+    if n_qubits > 1:
+        signs[:, 1] -= 2 * parities[:, n_lo - 1]  # one of the pair's bits is 0 in each half
+        parities[:, n_lo - 1] = 0
+    angles = np.hstack([bits, parities]).astype(np.float64)
+    angles.flags.writeable = signs.flags.writeable = False
+    return angles, signs
+
+
+def _diagonal(n_qubits: int, slope: np.ndarray, pair_angles: np.ndarray) -> np.ndarray:
+    """The diagonal exp(i(Σ_q slope_q·b_q + Σ_q φ_q·(b_q ⊕ b_(q+1) − ½))),
+    φ over the linear pairs, in _embed's factored form (see _product).
+
+    Every term but the pair across the cut splits into a high and a low
+    factor. That pair's exp(iφ(a ⊕ b)) is α + β·s_a·s_b, with
+    α = (1 + e^(iφ))/2, β = (1 − e^(iφ))/2 and s = (−1)^bit, so with it the
+    diagonal has two terms, else one."""
+    angles, signs = _diagonal_tables(n_qubits)
+    shape = (n_qubits % 2 + 2, 1 << n_qubits // 2, -1)
+    if not len(pair_angles):
+        return np.exp(1j * (angles[:, :n_qubits] @ slope)).reshape(shape)
+    d = signs * np.exp(1j * (angles @ np.concatenate((slope, pair_angles))))[:, None]
+    cross = cmath.exp(1j * pair_angles[n_qubits // 2 - 1])
+    offset = cmath.exp(-0.5j * pair_angles.sum())
+    d[:1 << (n_qubits - n_qubits // 2)] *= (0.5 * (1.0 + cross) * offset,
+                                            0.5 * (1.0 - cross) * offset)
+    return d.reshape(shape)
+
+
+def _product(w: np.ndarray) -> np.ndarray:
+    """The (2^ceil(n/2), 2^floor(n/2)) matrix Σ_t high[:, t] ⊗ low[:, t] of
+    the factored form w: slabs (w[:-1], one per value of the high half's top
+    qubit when n is odd) holding the high qubits' columns and a last slab
+    holding the low ones'."""
+    return w[:-1].reshape(-1, w.shape[2]) @ w[-1].T
+
+
+def _embed(spec: FeatureMapSpec, x: np.ndarray) -> np.ndarray:
+    """The amplitudes of build_feature_map(spec, x) applied to |0...0>.
+
+    The state is kept as Σ_t high[:, t] ⊗ low[:, t] over the register's
+    high qubits (n_lo = n // 2 and up) and low qubits, stacked as
+    w = (n % 2 + 2, 2^n_lo, terms) (see _product). A layer acts on both
+    halves' columns at once, and on the slab axis, the high half's top
+    qubit, when n is odd. A diagonal multiplies them, and the one linear
+    pair across the cut doubles the terms (see _diagonal), so after r
+    repetitions there are at most 2^r. Once a diagonal would give the terms
+    more amplitudes than the state, which is past 2^(n_lo - 1) terms, half
+    the Schmidt rank bound across the cut, the state is materialized and
+    the rest runs on the full register. So cost and memory stay bounded for
+    any reps.
+
+    Each 'zz' and 'z' repetition is the H layer and one diagonal of the
+    phases 2x_q and, for 'zz', the CX·RZ·CX pairs. The RYY pairs of
+    'pauli_zyy' commute and are V⊗V times a ZZ diagonal, so its repetitions
+    are H, the phases, V†, the pair diagonal, and V, where each V and the
+    next H merge into one layer."""
+    n = spec.n_qubits
+    n_lo = n // 2
+    phases = 2.0 * x
+    pairs = 2.0 * ((math.pi - x[:-1]) * (math.pi - x[1:]))
+    no_pairs = pairs[:0]
+    if spec.kind == "pauli_zyy":
+        steps = ["v_then_h", _diagonal(n, phases, no_pairs),
+                 "v_dag", _diagonal(n, 0.0 * phases, pairs)] * spec.reps + ["v"]
+    else:
+        steps = ["h", _diagonal(n, phases, pairs if spec.kind == "zz" else no_pairs)]
+        steps *= spec.reps
+    # the first layer is H on |0...0>: every amplitude of a half is 2^(-k/2)
+    w = np.empty((n % 2 + 2, 1 << n_lo, 1), dtype=np.complex128)
+    w[:-1] = 2.0 ** (-0.5 * (n - n_lo))
+    w[-1] = 2.0 ** (-0.5 * n_lo)
+    state = None
+    for step in steps[1:]:
+        if isinstance(step, str) and state is None:
+            _layer(w, step, n_lo, w.shape[2])
+            if n % 2:
+                _layer(w[:2], step, 1, w[0].size)
+        elif isinstance(step, str):
+            _layer(state, step, n, 1)
+        elif state is None and w.size * step.shape[2] <= 1 << n:
+            # each value's outer product of the two sets of terms (a broadcast
+            # multiply allocates a second product-sized buffer)
+            w = (step[..., None] @ w[..., None, :]).reshape(*w.shape[:2], -1)
+        else:
+            if state is None:
+                state, w = _product(w), None
+            state *= _product(step)
+    return (_product(w) if state is None else state).ravel()
+
+
+def run_circuit(gates, n_qubits: int) -> Statevector:
+    """Final state of the gates applied to |0...0>.
+
+    A list from build_feature_map that still holds the gates it was built
+    with, on its own register size, runs as _embed. Any other list runs
+    gate by gate."""
+    _check_qubits(n_qubits)
+    if isinstance(gates, _FeatureMap) and gates.is_as_built(n_qubits):
+        amps = _embed(gates.spec, gates.x)
+    else:
+        amps = zero_state(n_qubits).amplitudes
+        for gate in gates:
+            _apply_inplace(amps, n_qubits, gate)
+    state = Statevector(amps, n_qubits)
+    norm = state.norm()
+    if abs(norm - 1.0) > 1e-9:
+        raise NumericalError(f"statevector norm drifted to {norm}")
+    return state
 
 
 def embedding_state(x, spec: FeatureMapSpec) -> Statevector:

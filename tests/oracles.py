@@ -17,14 +17,10 @@ import numpy as np
 import scipy.linalg
 
 from qkgene.data_io import SplitSpec, split_indices
-from qkgene.errors import ConfigError, NumericalError
+from qkgene.errors import ConfigError
 from qkgene.quantum import (
-    _PARITY,
     Gate,
     _apply_inplace,
-    _check_register,
-    _hadamard_layer,
-    _half_angles,
     build_feature_map,
     run_circuit,
     zero_state,
@@ -127,92 +123,24 @@ def dense_circuit_unitary(gates, n_qubits: int) -> np.ndarray:
 
 
 def run_circuit_gatewise(gates, n_qubits: int):
-    """The simulator without gate fusion: each gate applied on its own by the
-    library's strided update, which tests check gate by gate against the
-    dense unitaries above."""
+    """Each gate applied on its own by the library's strided update, which
+    tests check gate by gate against the dense unitaries above. The
+    reference for the feature-map program."""
     state = zero_state(n_qubits)
     for gate in gates:
         _apply_inplace(state.amplitudes, n_qubits, gate)
     return state
 
 
-def run_circuit_walk(gates, n_qubits: int):
-    """The fused simulator walking the whole gate list: every repetition's H
-    layers and diagonal runs are re-found and their phases re-derived each
-    time they occur. The production simulator compiles a repeated segment
-    once; with the same fused arithmetic its states must be byte-equal."""
-    gates = list(gates)
-    state = zero_state(n_qubits)
-    amps = state.amplitudes
-    i = 0
-    while i < len(gates):
-        gate = gates[i]
-        if _walk_diagonal_size(gates, i):
-            i = _walk_diagonal_run(amps, gates, i, n_qubits)
-        elif gate.kind == "h" and _walk_is_layer(gates, i, n_qubits):
-            _hadamard_layer(amps, n_qubits)
-            i += n_qubits
-        else:
-            _apply_inplace(amps, n_qubits, gate)
-            i += 1
-    norm = state.norm()
-    if abs(norm - 1.0) > 1e-9:
-        raise NumericalError(f"statevector norm drifted to {norm}")
-    return state
-
-
-def _walk_diagonal_run(amps: np.ndarray, gates, i: int, n_qubits: int) -> int:
-    """Multiply amps by the phases of the diagonal run at gates[i] (see
-    quantum._diagonal_op) and return the index after the run."""
-    offset = 0.0
-    slope = np.zeros(n_qubits)
-    pairs = []
-    while i < len(gates) and (size := _walk_diagonal_size(gates, i)):
-        gate = gates[i]
-        _check_register(gate, n_qubits)
-        if size == 1:
-            slope[gate.qubits[0]] += gate.angle
-            if gate.kind == "rz":
-                offset -= 0.5 * gate.angle
-        else:
-            phi = gates[i + 1].angle
-            pairs.append((*sorted(gate.qubits), phi))
-            offset -= 0.5 * phi
-        i += size
-    pairs = np.array(pairs).reshape(-1, 3)
-    a, b, w = pairs[:, 0].astype(np.intp), pairs[:, 1].astype(np.intp), pairs[:, 2]
-    n_lo = n_qubits // 2
-    low, high = b < n_lo, a >= n_lo
-    cross = ~(low | high)
-    hi_angles = _half_angles(slope[n_lo:], a[high] - n_lo, b[high] - n_lo, w[high])
-    lo_angles = _half_angles(slope[:n_lo], a[low], b[low], w[low]) + offset
-    halves = amps.reshape(-1, 1 << n_lo)
-    halves *= np.exp(1j * hi_angles)[:, None]
-    halves *= np.exp(1j * lo_angles)
-    for qa, qb, weight in zip(a[cross], b[cross], w[cross]):
-        view = amps.reshape(-1, 2, 1 << (qb - qa - 1), 2, 1 << qa)
-        view *= np.exp(1j * weight * _PARITY)[:, None, :, None]
-    return i
-
-
-def _walk_diagonal_size(gates, i: int) -> int:
-    """1 if gates[i] is PHASE or RZ, 3 if gates[i:i+3] is CX(a,b), RZ(b,φ),
-    CX(a,b), else 0."""
-    gate = gates[i]
-    if gate.kind in ("phase", "rz"):
-        return 1
-    if gate.kind == "cx" and i + 2 < len(gates):
-        rz = gates[i + 1]
-        if rz.kind == "rz" and rz.qubits[0] == gate.qubits[1] and gates[i + 2] == gate:
-            return 3
-    return 0
-
-
-def _walk_is_layer(gates, i: int, n_qubits: int) -> bool:
-    """gates[i:i+n] is H on each of the n qubits, in any order."""
-    layer = gates[i:i + n_qubits]
-    return (len(layer) == n_qubits
-            and {g.qubits[0] for g in layer if g.kind == "h"} == set(range(n_qubits)))
+def layer_gatewise(amps: np.ndarray, matrix: np.ndarray, n_qubits: int) -> np.ndarray:
+    """amps, shaped (batch, 2^n, width), with the 2x2 matrix applied to each
+    of the n qubits of every column in turn: one einsum per qubit."""
+    batch, _, width = amps.shape
+    out = amps
+    for q in range(n_qubits):
+        view = out.reshape(batch, -1, 2, 1 << q, width)
+        out = np.einsum("ij,bhjlw->bhilw", matrix, view)
+    return out.reshape(amps.shape)
 
 
 def data_map(x, subset) -> float:

@@ -145,6 +145,24 @@ class TestSchema:
         with pytest.raises(ConfigError, match=r"^fitness\.knn_k must be at least 1$"):
             parse_config({"fitness.knn_k": "0"})
 
+    INT_KEYS = ["fitness.knn_k", "hho.n", "hho.t", "pca.k", "qk.reps", "qk.seed",
+                "qk.shots", "seed", "smote.k", "svm.max_passes"]
+
+    def test_int_keys(self):
+        assert [k for k in KEYS if pipeline._FIELDS[k].type == "int"] == self.INT_KEYS
+
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_every_int_must_be_an_integer(self, key):
+        """A library caller may pass numbers, not text. Floats, integral or
+        not, and bools are one ConfigError that names the dotted key, not a
+        TypeError inside run or a stage field's name; numpy integers pass."""
+        for value in (3.0, 2.5, np.float64(4.0), True, False):
+            with pytest.raises(ConfigError,
+                               match=rf"^{re.escape(key)} must be an integer, got "
+                                     rf"{re.escape(repr(value))}$"):
+                parse_config({key: value})
+        assert getattr(parse_config({key: np.int64(3)}), pipeline._FIELDS[key].name) == 3
+
     @pytest.mark.parametrize("key", [k for k in KEYS if pipeline._FIELDS[k].type == "float"])
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_every_float_must_be_finite(self, key, text):

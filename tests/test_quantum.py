@@ -40,8 +40,8 @@ from oracles import (
     fidelity_one_product,
     gatewise_kernel,
     inverse_circuit,
+    layer_gatewise,
     run_circuit_gatewise,
-    run_circuit_walk,
     sampled_kernel_circuit,
     square_kernel_one_product,
 )
@@ -66,8 +66,8 @@ def random_gate(rng, n_qubits):
 
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
-# patterns run_circuit fuses, their near misses, and the blocks each needs a
-# register of at least 1, 2 or 3 qubits for
+# the gate patterns the feature maps emit, their near misses, and the blocks
+# each needs a register of at least 1, 2 or 3 qubits for
 FUSION_BLOCKS = (
     ("gate", "layer", "shuffled_layer", "partial_layer", "split_layer", "sampled_circuit"),
     ("sandwich", "rz_on_control", "reversed_cx", "repeated_qubit_layer"),
@@ -125,7 +125,7 @@ def fusion_circuits(draw):
 def repeated_segments(draw):
     """(gates, n_qubits): a random segment repeated 1-4 times as the same
     objects. The segment is a random circuit rotated by a random offset, so
-    its ends can cut a diagonal run, an H layer or a CX·RZ·CX sandwich."""
+    its ends can cut an H layer or a CX·RZ·CX sandwich."""
     gates, n = draw(fusion_circuits())
     cut = draw(st.integers(0, len(gates)))
     return (gates[cut:] + gates[:cut]) * draw(st.integers(1, 4)), n
@@ -133,11 +133,11 @@ def repeated_segments(draw):
 
 @st.composite
 def maps_with_edge_rows(draw):
-    """(spec, x): every map on 1-14 qubits with 1-4 repetitions, and rows
+    """(spec, x): every map on 1-14 qubits with 1-6 repetitions, and rows
     whose features include the scale range's ends 0 and pi."""
     kind = draw(st.sampled_from(MAP_KINDS))
     n = draw(st.integers(1 if kind == "z" else 2, 14))
-    spec = FeatureMapSpec(n, kind, reps=draw(st.integers(1, 4)))
+    spec = FeatureMapSpec(n, kind, reps=draw(st.integers(1, 6)))
     x = draw(st.lists(st.sampled_from([0.0, math.pi]) | st.floats(0.0, math.pi),
                       min_size=n, max_size=n))
     return spec, x
@@ -186,35 +186,133 @@ class TestGateFusion:
 
     @given(repeated_segments())
     @settings(max_examples=300, deadline=None)
-    @example(([Gate.phase(0, 0.3)] * 4, 1))  # one diagonal run across every cut
-    @example(([Gate.h(1), Gate.phase(0, 0.3), Gate.h(0)] * 3, 2))  # layer across each cut
-    @example(([Gate.rz(1, 0.2), Gate.cx(0, 1)] * 3, 2))  # sandwich across the first cut
-    @example(([Gate.h(0), Gate.h(1)] * 2, 3))  # partial H runs
-    def test_repeated_segments_equal_walk_oracle(self, circuit):
-        """A list that repeats one segment is compiled once only where the
-        walk over the whole list cuts at the segment's end; either way the
-        state is byte-equal to walking the whole list."""
+    @example(([Gate.phase(0, 0.3)] * 4, 1))
+    @example(([Gate.h(1), Gate.phase(0, 0.3), Gate.h(0)] * 3, 2))
+    @example(([Gate.rz(1, 0.2), Gate.cx(0, 1)] * 3, 2))
+    @example(([Gate.h(0), Gate.h(1)] * 2, 3))
+    def test_repeated_segments_run_gate_by_gate(self, circuit):
+        """A list that repeats one segment as the same objects is not a
+        built feature map, so it runs gate by gate, byte-equal to the
+        gate-by-gate oracle. So does a map's repetition repeated by hand."""
         gates, n = circuit
-        assert run_circuit(gates, n).amplitudes.tobytes() == run_circuit_walk(
+        assert run_circuit(gates, n).amplitudes.tobytes() == run_circuit_gatewise(
             gates, n).amplitudes.tobytes()
+        spec = FeatureMapSpec(3, "zz", reps=1)
+        by_hand = build_feature_map(spec, [0.1, 0.2, 0.3]) * 3
+        assert run_circuit(by_hand, 3).amplitudes.tobytes() == run_circuit_gatewise(
+            by_hand, 3).amplitudes.tobytes()
 
     @given(maps_with_edge_rows())
-    @settings(max_examples=150, deadline=None)
-    def test_feature_maps_equal_walk_oracle(self, case):
-        """Every map, 1-14 qubits and 1-4 repetitions: the state from one
-        compiled repetition, applied reps times after a constant fill, is
-        byte-equal to walking the whole list."""
+    @settings(max_examples=200, deadline=None)
+    @example((FeatureMapSpec(14, "zz", reps=6), [0.5] * 14))  # stays factored
+    @example((FeatureMapSpec(13, "pauli_zyy", reps=6), [0.5] * 13))  # passes the rank cap
+    @example((FeatureMapSpec(1, "z", reps=6), [math.pi]))
+    @example((FeatureMapSpec(2, "zz", reps=1), [0.0, math.pi]))
+    def test_program_matches_gatewise_and_dense(self, case):
+        """Every map, 1-14 qubits (odd and even) and 1-6 repetitions, on
+        both sides of the rank cap: the program's state is within 1e-12 of
+        the map's gates applied one at a time, and, up to 5 qubits, of the
+        product of their dense unitaries."""
         spec, x = case
         gates = build_feature_map(spec, x)
-        assert run_circuit(gates, spec.n_qubits).amplitudes.tobytes() == run_circuit_walk(
-            gates, spec.n_qubits).amplitudes.tobytes()
+        state = run_circuit(gates, spec.n_qubits).amplitudes
+        np.testing.assert_allclose(state, run_circuit_gatewise(gates, spec.n_qubits).amplitudes,
+                                   rtol=0.0, atol=1e-12)
+        if spec.n_qubits <= 5:
+            np.testing.assert_allclose(
+                state, dense_circuit_unitary(gates, spec.n_qubits)[:, 0], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_rank_cap_both_sides(self, monkeypatch, kind):
+        """At 12 qubits an entangled map's terms reach one state's
+        amplitudes after 5 repetitions, so 5 stay factored to the end (one
+        materialization) and the 6th pair diagonal finishes on the full
+        register (the materialization and that diagonal's product). A z
+        map keeps one term. Each state is within 1e-12 of the gates applied
+        one at a time."""
+        products = []
+        original = quantum._product
+        monkeypatch.setattr(quantum, "_product", lambda w: products.append(w.shape) or original(w))
+        x = np.random.default_rng(21).uniform(0.0, math.pi, 12)
+        for reps, expect in ((5, 1), (6, 1 if kind == "z" else 2)):
+            products.clear()
+            gates = build_feature_map(FeatureMapSpec(12, kind, reps=reps), x)
+            np.testing.assert_allclose(run_circuit(gates, 12).amplitudes,
+                                       run_circuit_gatewise(gates, 12).amplitudes,
+                                       rtol=0.0, atol=1e-12)
+            assert len(products) == expect, (reps, products)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_leading_layer_is_a_fill(self, n):
+        """The program starts from H on |0...0> as a constant fill of each
+        half. A one-repetition z map of the zero row, whose phases are all
+        0, is that fill: within 1e-12 of 2^(-n/2), of _layer's H on every
+        qubit of |0...0> and of the H gates applied one at a time."""
+        state = run_circuit(build_feature_map(FeatureMapSpec(n, "z", reps=1), np.zeros(n)),
+                            n).amplitudes
         amps = zero_state(n).amplitudes
-        quantum._hadamard_layer(amps, n)
-        gates = [Gate.h(q) for q in range(n)]
-        assert run_circuit(gates, n).amplitudes.tobytes() == amps.tobytes()
+        quantum._layer(amps, "h", n, 1)
+        for expect in (np.full(1 << n, 2.0 ** (-0.5 * n)), amps,
+                       run_circuit([Gate.h(q) for q in range(n)], n).amplitudes):
+            np.testing.assert_allclose(state, expect, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("layer", ["h", "v", "v_dag", "v_then_h"])
+    def test_layer_matches_per_qubit_oracle(self, layer):
+        """_layer applies its 2x2 matrix to every qubit of each column, in
+        place, for 0-13 qubits (blocks of 6, 6 and 1 at 13), batches and
+        widths, within 1e-12 of one einsum per qubit. V is the frame in
+        which V Z V† = Y, and v_then_h is V followed by H."""
+        h, v = quantum._LAYERS["h"], quantum._LAYERS["v"]
+        pauli_y, pauli_z = np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])
+        np.testing.assert_allclose(v @ pauli_z @ v.conj().T, pauli_y, atol=1e-15)
+        np.testing.assert_allclose(quantum._LAYERS["v_dag"], v.conj().T, atol=0.0)
+        np.testing.assert_allclose(quantum._LAYERS["v_then_h"], h @ v, atol=0.0)
+        rng = np.random.default_rng(22)
+        for n in range(14):
+            for batch, width in ((1, 1), (3, 1), (2, 5)):
+                amps = (rng.standard_normal((batch, 1 << n, width))
+                        + 1j * rng.standard_normal((batch, 1 << n, width)))
+                expect = layer_gatewise(amps, quantum._LAYERS[layer], n)
+                quantum._layer(amps, layer, n, width)
+                np.testing.assert_allclose(amps, expect, rtol=0.0, atol=1e-12)
+
+    def test_changed_map_runs_gate_by_gate(self):
+        """A built map runs as the program only while it holds the gate
+        objects it was built with, on its own register size. With one gate
+        replaced, one appended or after clear(), on a larger register, or as
+        a plain copy, it runs gate by gate. Changing the row it was built
+        from afterwards changes nothing."""
+        spec = FeatureMapSpec(5, "zz", reps=2)
+        x = np.random.default_rng(23).uniform(0.0, math.pi, 5)
+        replaced, appended, cleared, wider = (build_feature_map(spec, x) for _ in range(4))
+        assert replaced[7].kind == "phase"
+        replaced[7] = Gate.phase(2, replaced[7].angle + 0.5)
+        appended.append(Gate.h(0))
+        cleared.clear()
+        for gates, n in ((replaced, 5), (appended, 5), (cleared, 5), (wider, 7)):
+            np.testing.assert_allclose(run_circuit(gates, n).amplitudes,
+                                       run_circuit_gatewise(gates, n).amplitudes,
+                                       rtol=0.0, atol=1e-12)
+        copy = list(build_feature_map(spec, x))
+        assert run_circuit(copy, 5).amplitudes.tobytes() == run_circuit_gatewise(
+            copy, 5).amplitudes.tobytes()
+        row = x.copy()
+        gates = build_feature_map(spec, row)
+        row[:] = 0.0
+        assert run_circuit(gates, 5).amplitudes.tobytes() == run_circuit(
+            build_feature_map(spec, x), 5).amplitudes.tobytes()
+
+    @pytest.mark.slow
+    def test_twenty_qubit_program_matches_gatewise(self):
+        """At 20 qubits every map's program (factored to the end at 3
+        repetitions, past the rank cap at 10) is within 1e-12 of the gates
+        applied one at a time."""
+        x = np.random.default_rng(24).uniform(0.0, math.pi, 20)
+        for kind, reps in (("z", 3), ("zz", 3), ("pauli_zyy", 3), ("zz", 10)):
+            gates = build_feature_map(FeatureMapSpec(20, kind, reps=reps), x)
+            np.testing.assert_allclose(run_circuit(gates, 20).amplitudes,
+                                       run_circuit_gatewise(gates, 20).amplitudes,
+                                       rtol=0.0, atol=1e-12, err_msg=f"{kind} reps={reps}")
 
     def test_diagonal_gate_bounds_checked(self):
         for run in ([Gate.phase(2, 0.3)], [Gate.rz(1, 0.2), Gate.rz(5, 0.3)],
@@ -311,22 +409,26 @@ class TestSimulator:
 
     @pytest.mark.parametrize("kind", MAP_KINDS)
     def test_circuit_keeps_no_state_alive(self, kind):
-        """One 14-qubit circuit peaks under 2.5 states: its own plus one H
-        layer product or a lone RYY gate's blocks. Once its result is
-        dropped, nothing state-sized stays allocated."""
-        gates = build_feature_map(FeatureMapSpec(14, kind, reps=3), np.linspace(0.0, 3.0, 14))
-        run_circuit(gates, 14)  # warm the Sylvester and bit-table caches
+        """A 14-qubit circuit with 3 repetitions stays factored and peaks
+        under 1.25 states: its own plus the terms. With 8 it passes the rank
+        cap and peaks under 2.25: its state plus one layer product or one
+        diagonal. Once its result is dropped, nothing state-sized stays
+        allocated."""
         state_bytes = 16 << 14
-        tracemalloc.start()
-        try:
-            state = run_circuit(gates, 14)
-            _current, peak = tracemalloc.get_traced_memory()
-            del state
-            left, _peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * state_bytes
-        assert left < state_bytes // 8
+        for reps, bound in ((3, 1.25), (8, 2.25)):
+            gates = build_feature_map(FeatureMapSpec(14, kind, reps=reps),
+                                      np.linspace(0.0, 3.0, 14))
+            run_circuit(gates, 14)  # warm the Kronecker-power and table caches
+            tracemalloc.start()
+            try:
+                state = run_circuit(gates, 14)
+                _current, peak = tracemalloc.get_traced_memory()
+                del state
+                left, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * state_bytes, reps
+            assert left < state_bytes // 8
 
     def test_qubit_count_limits(self):
         with pytest.raises(ConfigError):
@@ -643,8 +745,8 @@ class TestKernelMatrices:
         finally:
             tracemalloc.stop()
 
-    # A 12-qubit circuit peaks under 2.5 states (test_circuit_keeps_no_state_alive
-    # holds 14 qubits there), so 3 states of slack cover one row's embedding.
+    # A circuit peaks under 2.25 states (test_circuit_keeps_no_state_alive holds
+    # 14 qubits there), so 3 states of slack cover one row's embedding.
     STATE_BYTES = 16 << 12
 
     def test_square_kernel_holds_its_states_and_one_block(self, monkeypatch):
@@ -765,102 +867,110 @@ class TestSampledMatchesCircuit:
 
 class TestEmbeddingGolden:
     """sha256 of the embedded states and of the exact training kernel for
-    every map at 4, 6 and 12 qubits, recorded from the per-gate builder and
-    the single-product fidelity. A change to any angle, gate, simulator step
-    or overlap product moves them. At 12 qubits the 130 rows split the
-    fidelity product into blocks of 16 rows and a last one of 2."""
+    every map at 4, 6 and 12 qubits, recorded from the factored program.
+    Each test also holds the states within 1e-12 of the per-gate builder's
+    gates applied one at a time, and the kernel within 1e-12 of one product
+    over those states, so every pinned hash is a checked one. A change to
+    any angle, gate, program step or overlap product moves the hashes. At
+    12 qubits the 130 rows split the fidelity product into blocks of 16 rows
+    and a last one of 2."""
 
     GOLDEN = {
-        ("z", 4): ("7342077143bfdc1a5ca1cd3280e710a4df3a6b01b6d82dfa57ccbc231426869c",
-                   "58b5767416e30079c6a10cd92ce013e27ee822cfc71944daeb53e72e7771deeb"),
-        ("z", 6): ("f75c9aed190c64f3868f3563b65901a6651168235e0f7981d39c4611aac4558e",
-                   "4146af6b402939d9cf559456a89ca5a56d54e73a5c11f521b934d6fbbcf1a974"),
-        ("z", 12): ("c23340bd0880f5806fbb263007901c92f16cc953cc4eb569c192723f9a15ec86",
-                    "f7af421cb722526f898acbc094ddd3640cb2397f628bd383a7fa4f9db645c604"),
-        ("zz", 4): ("5a94583996801d7accb8dd8e672043cd02ce0c8f2fcf6e765ce54b7c4fc1e5e5",
-                    "e522de30cdd83fa20c439baebf34e0fd86083ef3cb1ac2fb139e20b39253843c"),
-        ("zz", 6): ("bedfa63f357cdd0b709ab3e0292f80a756cea5b39e0afcb6bedc5518602a66c1",
-                    "aad59c324f449325cd9b92bb33c8557c36d8d61cab4bfb817569e73e770f1585"),
-        ("zz", 12): ("cb675b05c1cbb6e2b19e05f98cbd13f9b4297bb0adb2550b1416cb2980e470c3",
-                     "62aca4645825b9c25440308ecd3e3599b4d2f8e2d733ffd41d10b06c01391f51"),
-        ("pauli_zyy", 4): ("198977a19cc3fc2ab5725530840ac7561601765b0344de2a42ccc075a49a6e8c",
-                           "6ab8dfaa649750a0145f01a02bd1d666ee4d037cb1c8e0df0c578b269286062c"),
-        ("pauli_zyy", 6): ("bb69651f26e79e4cd17d9aaf4e78c30d07e4f29c2b451f266a706c1299c683b3",
-                           "1eb25a283b7d196bad65a428a313520027a0c5dbe41d38f5fcd478e9e0f1a04f"),
-        ("pauli_zyy", 12): ("682ac5a963d4ae856d77e5efcf45346806295d25338843322418c7b4b2556713",
-                            "c8f1968c81ab43ec827761e31a0e4d0eb474f48a46609d1e5023109bb949dddf"),
+        ("z", 4): ("4df9de78fd3a553716aea740c9a4d5ed0006fc12748a7c5ec19ea47867432149",
+                   "73d963fb6faabb7aca662132b22a46d3a7f890290489b4affeb7f0c6decb2124"),
+        ("z", 6): ("e029acb9e0e50b969be8bf4f8457d41edac203304be7df40f65b1bfeb7315a65",
+                   "5c4e6425f11fdcf187d43041334588e4e95123fc3ee3251a186b797dbe85b3b2"),
+        ("z", 12): ("469995dfd5e9e46541e6dab00a7431937f5efd8d5db1243b3eae4fcab1726177",
+                    "8d10353a42aa589811c30284489148b4abcb2bc209543330ce2bb44592cbabed"),
+        ("zz", 4): ("5c4015c22b36ce8ea3edcd649916374989141c4c6887afb1c342dc1f36601a3b",
+                    "535680e66a4f7a39feae821734dbcc3fce3591ac87d408b0b123a650ee1b8816"),
+        ("zz", 6): ("a5b721621f20c0c7c8078a9d17a8438936e140cffa7cc908947cfb2ceaedb04d",
+                    "53ebcdf04cf008e743b4472420c8f0722453d4fcb0d95900c05e547290a34e7a"),
+        ("zz", 12): ("5d453654ecc3084814bd793de06022017e6bf7828a4da43208734abb86e41a12",
+                     "8cd28289a2463055a57eb85ed23ce70852fb17529c79034385c51c9924717e03"),
+        ("pauli_zyy", 4): ("c1b047e16e3c19dc52404e02f23998fe076a8df5e576fcbfe126123467d5fec9",
+                           "569a8b3cbff5b756dce302c27f5a7c3c4e32de60416317f8351b9eefac390edd"),
+        ("pauli_zyy", 6): ("5d25a6aaed6523025335a074ab47eb8972761117991e4f8e15582a73254682fa",
+                           "6918459ef80b3339ed05d36c24a2daf57380fb9c86ef81c07f842042bedd7a6b"),
+        ("pauli_zyy", 12): ("c007dde214af32d09426cd0edcc83f3e19f923c5c1bfcfaeec21fa623369d6aa",
+                            "496706dd78de777d627bdcaa3bbb6becb328e0582fba77407cc0bfa019675e45"),
     }
 
-    # (kind, n_qubits, reps) -> the same two hashes over 9 rows, recorded
-    # before repetitions were compiled once. Odd widths split the register
-    # into uneven halves, and 13 qubits into H blocks of 5, 5 and 3.
+    # (kind, n_qubits, reps) -> the same two hashes over 9 rows. Odd widths
+    # split the register into uneven halves. At 5 qubits an entangled map
+    # passes the rank cap from 2 repetitions on; at 13 it stays factored.
     GOLDEN_REPS = {
-        ("z", 5, 1): ("26f9a8a209625bb77b35630e3e0560e5aa1ed9907406360fd705253479266631",
-                      "4c4af65d8ead506c3dfa236759b058b9f0d553c08a74ba9e7f1826b232ed3d9f"),
-        ("z", 5, 2): ("41c2274013ce83d2ee8d5b9118b40ae417bea34a1d6cebe386bdda49bd87882a",
-                      "cbcfcbdfa1addaff6ba4712b6426a3e4a588b0adee57e16fba271fbdb4a60ae0"),
-        ("z", 5, 3): ("9c71c242f2a9855f8ae9ce11a6448767c275834e6061254bdcc9467258a0d42e",
-                      "4db2db1bb2b6cdf20f181409c98c9b0c8de8df89d1c46984cc819d7616a4713d"),
-        ("z", 5, 4): ("e06622d46158348952affd06c1713fa8ef14cc9e6c773a7b7cd191218bd1365f",
-                      "1921fe89d693b7fe5f1a2b8862d10519bb0de8f0f0626030ac71af75cc1db1a9"),
-        ("z", 13, 1): ("3df2b82b65e10d11b083c575f5e323a4c19e5019a52f6ec80ea6bb5f12d58212",
-                       "8cff630d1d1346ce7562cda4d0599522f4c54a49ac0bb7ed79cfd7ef2127adec"),
-        ("z", 13, 2): ("941ee0257e1afc5a2f5237d6621586490d4ca9cdecdd38362322c7905794974d",
-                       "d8f22152d04aba8ab80cdbdaf356e9c0c4ac8ffc80810eebe4f8f98d5309a360"),
-        ("z", 13, 3): ("30068108fa99b9e72bb95c1af16d401acfd0149266360270616dc69429a6208c",
-                       "fd62894a2e7e7ca6b2e34d246d337e7232f850b09fa0979f70aa75823f369fee"),
-        ("z", 13, 4): ("b223c6f4cd857c867fa270c967ef83f78bac82dafbc3617e169ca2e17facd481",
-                       "f2e33a5740ba517fad5a9945d13c66fc07cb4d2e911101aa80214cfa91723a16"),
-        ("zz", 5, 1): ("89fb0b9b135592f38e2db7e8879076d61c3ef13040557c8573071b9235f7875d",
-                       "24e256ba0deaf00264007516540600f5a6063c3fc58f987457cbd8c3ad669a24"),
-        ("zz", 5, 2): ("031fb9b33690ead55f4a444e00b860a8d6a878e9949f0d3464a25e2b0fd428d5",
-                       "ca92a33622376f6c39e628080ab34802449148392d985582cee717ca89b1b1d8"),
-        ("zz", 5, 3): ("4aa4b3bf29382f753a79ebf86a3d7173b5c39fec288f61f7de2733f05024e408",
-                       "9399fe91a19aac2b4b288baaaae13f5110d228f5b66a9faecacad2bab5037aaf"),
-        ("zz", 5, 4): ("add7c0e4f31b0999ebc767779f8ead05dd5def2db31ecb77535a852c6f8147fd",
-                       "ad0419364bc713a9ebc4289fa0512e1b77815799bccb1e511de1251713259645"),
-        ("zz", 13, 1): ("72094d19707196bace02cdbe9029edf2fdd809086738818995b14270f5e9ba1e",
-                        "595b345085c38a26b12d6027aa604ad29f469052565b699b6a475018570210a1"),
-        ("zz", 13, 2): ("58e2463285f4dd85fc2125142bdeb0923203aab68319fa4657c0f0980904a892",
-                        "910e001c0edba44a13a8620918d8a9c106bff48afbba73125f0040e796c40fc0"),
-        ("zz", 13, 3): ("d5ce8693fee6e4a719c0a430d31f228c4839ef6082e9614dae65b1ce16b00701",
-                        "efaae5d6d424cab2cee4ec9c6cc444afe46369a184d0a5f0a26b16e91449e451"),
-        ("zz", 13, 4): ("9c8ee56f311cebafeec51fba0abdd7cb3bd81ccdd79cf2ebf38f40b275e61cbc",
-                        "f418b28b64df13aaf0702ffc6f7fdc0d14854cd38533e65b2874a9f9cd742653"),
-        ("pauli_zyy", 5, 1): ("90a1b66a563057b93bc6729989fc4609cb5cfb828fd188fe81bd485c73636b5c",
-                              "102b64c77ba26701e1df4d5c956b2e708e9da5f5bf60af803167542444c2f78a"),
-        ("pauli_zyy", 5, 2): ("6164ff0ed5aae7408e92848ed4a91c832d5feb1daeef891a1651b58db72bbfa9",
-                              "50bdb13611791c9bd63ed8b5879347f7fe5f55e6129f6d4f672c1e194fecf75f"),
-        ("pauli_zyy", 5, 3): ("f596c0c88b7ea265b77ab863c3edd3a52fe35b97b176ae075b1241ea9c8b408e",
-                              "20ac9a839e336ea2312b20da7924708a912935ece304620230a19752fe6114d5"),
-        ("pauli_zyy", 5, 4): ("e350852ff03e680dffafc898ee3d852c741ec5b4c0884aead006d92a55987562",
-                              "690a02bed68c0ae0b654dd23ee6eda1127123b83f250809eeae5789cbb50600b"),
-        ("pauli_zyy", 13, 1): ("617c5c7ea913cb62c12408142b8720839d53c5ff66d3e4263ed82ac3130eb72d",
-                               "a10167ad7c3bc94a6024fb52325880c1671d5c5a3315f163e2238d55faa0e573"),
-        ("pauli_zyy", 13, 2): ("7c4e14e35aa0bec44b8b8a5184082951eb97cce0d39ef678bf6e3590e630e376",
-                               "9b07fc00451325eb1db169fec5d1fff2c0d181923c7a5ac4d63d274180da636e"),
-        ("pauli_zyy", 13, 3): ("71564e0fc42424abb7c595640fe7d86560b6856bfd1f1af80035cde8121bf241",
-                               "7ce2ae11dfe8d097840a4076a0e9b0b06670949b880cc458d47e4792178dc509"),
-        ("pauli_zyy", 13, 4): ("2195ebc38f9b9766617b0c3057f1f16e6a1ee1f26703ce9f1fa93ca7268fd835",
-                               "b101dcf5ab35b71bc09ef33769d2c0b9a02bb22e0559d8e3217ae9094eea9851"),
+        ("z", 5, 1): ("4b1690b6f5887b3b302527729cb3fe57aaaf0c3cf5f7cc47cb44e7a3882be3d2",
+                      "1ae9334391c4bdf788496952c4b2ef973bfbfc31f0f58cfa12904222afc3c728"),
+        ("z", 5, 2): ("eba38056a1524785bd694927f3e4ac9d17e59bcf1843bca60fe2a77f72b009b0",
+                      "9a003cbc8f1c6c42b2f9b9c8d39e41fb96a35bc041d66f978e8662df16bfb87f"),
+        ("z", 5, 3): ("6f2f368e8c5084cd3b7500d952e12cea231992219602c8563db16fc4f437b716",
+                      "eb60e7166dec5fe037558584b0bc657748f766aee79d8c4e58cd2840b585e292"),
+        ("z", 5, 4): ("dd8979ddec817b7eb2e4fae6020aa36b48cbb4eb80e416ceebc8b0c4562999f7",
+                      "38493c58c546cf7ea25290b0d0730833ab38fa0486fc4d0907430d490c108eef"),
+        ("z", 13, 1): ("c05a680a00ad006ec17d484ce22c9fe06d909e4ff7b2d09ba68b5a0ad15fc505",
+                       "d1d523ff5686a94e475ec0ccb8aa2a3d646e60e60ace486f6f72e6a2452d6855"),
+        ("z", 13, 2): ("f2d72825e887d5b1dfa8ccfa4a0d16035f855315dccab8016266c31ea7ba21e9",
+                       "abcd4757016bd296e6952e6d58ccce220f017dcf748706e1343c99c287df0cb5"),
+        ("z", 13, 3): ("2ab645faa8bfded7ad14b6b4bc22f34a91ae37b4f034bd8ca640cc2f75e8c523",
+                       "384cb2e846cda7ffa978b40fdbc7fb2663f36069733533ab75401b8e66fc4ec5"),
+        ("z", 13, 4): ("a398c33b61b67ebda9c0f55152c58383e9a42c78175399a698729345e5ef42cc",
+                       "d3369dcad652c9ae8f1d2e0dbdc11416addad0eb3da1e6e6d64ff46c67fe3ba7"),
+        ("zz", 5, 1): ("0bcedc559a531df3c2769a21bf8d8c6107ec2706783d4c2f6bbb2ea9ae0449df",
+                       "f1a65e078a1e1afe86d55af278ad9eac93a7106ac326dd452ef01d9287f241b5"),
+        ("zz", 5, 2): ("47ac9a01a465e8becbfcd33e6b006bdd462abe1c89f9895dcb67289a0d15ed47",
+                       "7952939c07810e44d6ceb1a8381252afc7ab67625503e66076550751f2573023"),
+        ("zz", 5, 3): ("c70004b5365547f43f6ced038cab0ec0855d1c49af98dd7e87c9c09310e44288",
+                       "e1f594ffe97a9e738f413bcdd33a1d2f6bc29cf55bc4207bc43822e04dad844c"),
+        ("zz", 5, 4): ("f7930340b3d83da5fcc14a86ca728728b2f69b1ad51a1a85d5db28982e0adc42",
+                       "ce3293b2f7de2d33c644351b4355abc027ce0ad31f2cb59bea808c8163b7ce5c"),
+        ("zz", 13, 1): ("333773a09f5cc8258cf0bf9083774df4c5f4449ebc14db8e72f5028267d35064",
+                        "1ce194ffcc219dd268a1a0c9642da9498208e3c6178d21b1e0afee6dd5349644"),
+        ("zz", 13, 2): ("62dea14774efc1ccc17111c25fc165f812868c86e9827fb75ee5982aa0b9aae4",
+                        "68051b3917111db8b2edc29da3868143ab7f1e82d84f634bb6db96f6753aea5c"),
+        ("zz", 13, 3): ("261add656a3584acdc9cdafccf1a40c29e77da46e266b0d3c29a99ca0ef3791c",
+                        "e944394a24a78bcf0c8a13af5273445c0abe2bb72030c5d200637b09bb573050"),
+        ("zz", 13, 4): ("17c5a2a2904cf58b6a3e3c6f3c227779fc65f7f28b8d13ca814b3772264c3db2",
+                        "c173fb20d5eb0a073f556881aac436aeb8ff3a7238ab207d051a3a1cfec2f30d"),
+        ("pauli_zyy", 5, 1): ("f894269adf6e5434adc9f03a6c7cad4cefcf73627fbe0d76702c53271ff6909b",
+                              "0e2d815957e26fea5b2368a2caa9b68c0860f11c2b0053ca886bcbcc115b09c9"),
+        ("pauli_zyy", 5, 2): ("bf28532dba0d29b0989a88ef262905c987173d2cfcd99096f361d7af7569edb9",
+                              "5bf9337b7a2c28bb9c5c42a337180a4c159d0636d08b71e432717205c38f344e"),
+        ("pauli_zyy", 5, 3): ("2da0469e331537cff831cb39f0061bb82fb1eb7ae26f5ce36004abc44f9247d2",
+                              "4ca5f0c42efa5c42360e95d8e85a3f3ca42bff6fccc3201f718735d37394fbb4"),
+        ("pauli_zyy", 5, 4): ("5bbf2e3aa8454b7752b3cf4ec729715dd9ddfb3ea86b6781f6abba451c90d9d0",
+                              "01c0a2d2c46d019bdafef58f04d7c2faffcf3d797231314517d32a69632df1c2"),
+        ("pauli_zyy", 13, 1): ("306a33833458178ad2287bf8a45e61fe9909ce39acb9d289cea53ca17b397b22",
+                               "bc6aab0d23d778bce4e87a5cdc1fa12265a42c8e6ac347e2c3b69f7092e6a2e6"),
+        ("pauli_zyy", 13, 2): ("29016d85663c0d01c133068317e86642edd740186ec36a1709cb9bf48ef08798",
+                               "182c3166696ce5d1d8a2156abe677fdf530ba9188367b084e47fabe26e26da44"),
+        ("pauli_zyy", 13, 3): ("9e674247672599e6d0a4100f8570c19422c29f41f66f5256f78b48648203c909",
+                               "2070409b0b3db5682ab529a05defcda91cbed5a90be2169f3a2d519422bf586a"),
+        ("pauli_zyy", 13, 4): ("acd790c28b7982c3ac1a8df270d3786cfaad7b18f09f4196e36cf8dfb6ce56af",
+                               "7138cd0e0e39f74c15c76b4c7dcd429ba38642eede22f64b9758511783104616"),
     }
+
+    @staticmethod
+    def _check(X, spec, hashes):
+        states = _embedding_matrix(X, spec)
+        kernel = kernel_matrix(X, spec)
+        oracle = np.array([run_circuit_gatewise(build_feature_map_gatewise(spec, x),
+                                                spec.n_qubits).amplitudes for x in X])
+        np.testing.assert_allclose(states, oracle, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(kernel, square_kernel_one_product(oracle), rtol=0.0, atol=1e-12)
+        assert (hashlib.sha256(states.tobytes()).hexdigest(),
+                hashlib.sha256(kernel.tobytes()).hexdigest()) == hashes
 
     @pytest.mark.parametrize("kind, n", sorted(GOLDEN))
     def test_embedding_is_pinned(self, kind, n):
         X = np.random.default_rng(n).uniform(0.0, math.pi, size=(130 if n == 12 else 17, n))
         X[0] = 0.0
         X[1] = math.pi
-        spec = FeatureMapSpec(n, kind, reps=3)
-        states, kernel = self.GOLDEN[kind, n]
-        assert hashlib.sha256(_embedding_matrix(X, spec).tobytes()).hexdigest() == states
-        assert hashlib.sha256(kernel_matrix(X, spec).tobytes()).hexdigest() == kernel
+        self._check(X, FeatureMapSpec(n, kind, reps=3), self.GOLDEN[kind, n])
 
     @pytest.mark.parametrize("kind, n, reps", sorted(GOLDEN_REPS))
     def test_every_rep_count_is_pinned(self, kind, n, reps):
         X = np.random.default_rng(n).uniform(0.0, math.pi, size=(9, n))
         X[0] = 0.0
         X[1] = math.pi
-        spec = FeatureMapSpec(n, kind, reps=reps)
-        states, kernel = self.GOLDEN_REPS[kind, n, reps]
-        assert hashlib.sha256(_embedding_matrix(X, spec).tobytes()).hexdigest() == states
-        assert hashlib.sha256(kernel_matrix(X, spec).tobytes()).hexdigest() == kernel
+        self._check(X, FeatureMapSpec(n, kind, reps=reps), self.GOLDEN_REPS[kind, n, reps])
