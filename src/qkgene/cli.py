@@ -3,8 +3,8 @@
 Each subcommand names a stage of pipeline.run, which recomputes the
 pipeline deterministically from the config up to that stage and writes the
 stage's artifacts, so stages can be inspected independently without an
-artifact-passing protocol. Exit codes: 0 success, 1 configuration error,
-2 data error, 3 numerical failure or out of memory.
+artifact-passing protocol. Exit codes: 0 success, 1 configuration or usage
+error, 2 data error, 3 numerical failure or out of memory.
 """
 from __future__ import annotations
 
@@ -30,8 +30,16 @@ _SUMMARIES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error: exit 1 with one line, not argparse's
+    exit 2 (the data-error code) with a usage block."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkgene",
         description="Gene selection and quantum-kernel classification pipeline",
     )
@@ -43,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override a config key (repeatable)")
         cmd.add_argument("--data", help="shorthand for --set data.path=...")
         cmd.add_argument("--out", help="shorthand for --set out.dir=...")
-        cmd.add_argument("--seed", type=int, help="shorthand for --set seed=...")
+        cmd.add_argument("--seed", help="shorthand for --set seed=...")
         if name != "select":
             cmd.add_argument("--no-selection", action="store_true",
                              help="skip the gene-selection stage")
@@ -64,7 +72,7 @@ def _config_from_args(args) -> pipeline.PipelineConfig:
     if args.out:
         mapping["out.dir"] = args.out
     if args.seed is not None:
-        mapping["seed"] = str(args.seed)
+        mapping["seed"] = args.seed
     return pipeline.parse_config(mapping)
 
 
@@ -83,9 +91,8 @@ def _dispatch(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        _dispatch(args)
+        _dispatch(_build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -385,7 +385,3 @@ class PhaseScaler:
     def transform(self, ds: LabeledDataset) -> LabeledDataset:
         return LabeledDataset(self.transform_features(ds.features), ds.labels, list(ds.gene_names))
 
-
-def scale_to_phase(ds: LabeledDataset, lo: float = 0.0, hi: float = math.pi) -> LabeledDataset:
-    """Fit the scaler on ds itself and return the scaled copy."""
-    return PhaseScaler(lo, hi).fit(ds.features).transform(ds)

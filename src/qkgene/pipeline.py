@@ -311,8 +311,7 @@ def _kernels(cfg: PipelineConfig, prep: PreparedData, kind: str | None = None):
                           f"(effective pca.k here: {k})")
     if k < 2 and kind != "z":
         raise ConfigError(f"the {kind} map needs pca.k of at least 2 (effective pca.k here: {k})")
-    spec = quantum.FeatureMapSpec(n_qubits=k, kind=kind,
-                                  reps=cfg.qk_reps, entanglement=cfg.qk_entanglement)
+    spec = quantum.FeatureMapSpec(n_qubits=k, kind=kind, reps=cfg.qk_reps)
     shots = quantum.ShotConfig(cfg.qk_shots, cfg.qk_seed)
     k_train = quantum.kernel_matrix(prep.train.features, spec,
                                     mode=cfg.qk_mode, shot_config=shots)

@@ -1,24 +1,22 @@
-"""Statevector simulator and phase-embedding kernels.
+"""Phase-embedding feature maps and their fidelity kernels.
 
 Qubit 0 is the least significant bit of the amplitude index (little
-endian), so |q1 q0> = |10> sits at index 2. Gates act on views obtained by
-reshaping the amplitude vector, never on full 2^n x 2^n matrices, which
-keeps circuits with around 20 qubits feasible. The supported gate set is
-exactly what the embeddings need: H, PHASE, RZ, CX, RYY.
+endian), so |q1 q0> = |10> sits at index 2. A feature map (Havlicek et al.,
+arXiv:1804.11326) is a value: build_feature_map(spec, x) keeps the spec and
+the row, and len() of it is the circuit's gate count. run_circuit runs it as
+a program built from angles (_embed), never as a gate list; the gate-by-gate
+simulator that checks it lives in tests/oracles.py.
 
-run_circuit applies a gate list to |0...0> one gate at a time, except a
-feature map's list as build_feature_map returned it. That list carries its
-spec and row, and while it holds the gate objects it was built with, it
-runs as a program built from angles (_embed). A linear-chain map has one
-pair across the register's middle cut, so each repetition at most doubles
-the state's Schmidt rank across it (Vidal, quant-ph/0301063). The program
-keeps the state as a sum of at most 2^reps products of a high-half and a
-low-half vector of about 2^(n/2) amplitudes each, applies every layer and
-diagonal to those, and materializes the state once at the end. If the
-terms would hold more amplitudes than the state, it materializes then and
-finishes on the full register. A circuit peaks at about one state plus its
-terms while it stays factored, and at about two states on the full
-register: the state plus one layer product or one diagonal.
+A linear-chain map has one pair across the register's middle cut, so each
+repetition at most doubles the state's Schmidt rank across it (Vidal,
+quant-ph/0301063). The program keeps the state as a sum of at most 2^reps
+products of a high-half and a low-half vector of about 2^(n/2) amplitudes
+each, applies every layer and diagonal to those, and materializes the state
+once at the end. If the terms would hold more amplitudes than the state, it
+materializes then and finishes on the full register. A circuit peaks at
+about one state plus its terms while it stays factored, and at about two
+states on the full register: the state plus one layer product or one
+diagonal.
 
 Kernel values are state fidelities K(x, z) = |<phi(z)|phi(x)>|^2, the
 all-zeros probability of the compute-uncompute circuit U(z)^dagger U(x).
@@ -37,7 +35,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,130 +50,9 @@ _LAYER_BLOCK = 6  # qubits per Kronecker-power product in a layer: one per half 
 _CONJ_BLOCK_BYTES = 1 << 20
 _CONJ_BLOCK_ROWS = 8  # a multiple of the BLAS kernels' column unroll
 
-_ARITY = {"h": 1, "phase": 1, "rz": 1, "cx": 2, "ryy": 2}
-
-MAP_KINDS = ("z", "zz", "pauli_zyy")
-
-
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    qubits: tuple[int, ...]
-    angle: float = 0.0
-
-    def __post_init__(self):
-        qubits = self.qubits
-        arity = _ARITY.get(self.kind)
-        if arity != len(qubits):
-            if arity is None:
-                raise ConfigError(f"unknown gate kind {self.kind!r}")
-            raise ConfigError(f"{self.kind} gate takes {arity} qubit(s)")
-        if arity == 2 and qubits[0] == qubits[1]:
-            raise ConfigError("gate qubits must be distinct")
-        if qubits[0] < 0 or qubits[-1] < 0:
-            raise ConfigError("gate qubits must be non-negative")
-
-    @classmethod
-    def h(cls, q: int) -> "Gate":
-        return cls("h", (q,))
-
-    @classmethod
-    def phase(cls, q: int, angle: float) -> "Gate":
-        return cls("phase", (q,), angle)
-
-    @classmethod
-    def rz(cls, q: int, angle: float) -> "Gate":
-        return cls("rz", (q,), angle)
-
-    @classmethod
-    def cx(cls, control: int, target: int) -> "Gate":
-        return cls("cx", (control, target))
-
-    @classmethod
-    def ryy(cls, a: int, b: int, angle: float) -> "Gate":
-        return cls("ryy", (a, b), angle)
-
-
-@dataclass
-class Statevector:
-    amplitudes: np.ndarray
-    n_qubits: int
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ConfigError("amplitude length must be 2**n_qubits")
-
-    def norm(self) -> float:
-        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
-
-
-def _check_qubits(n_qubits: int) -> None:
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}")
-
-
-def zero_state(n_qubits: int) -> Statevector:
-    _check_qubits(n_qubits)
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return Statevector(amps, n_qubits)
-
-
-def _check_register(gate: Gate, n_qubits: int) -> None:
-    if max(gate.qubits) >= n_qubits:
-        raise ConfigError(f"gate on qubit {max(gate.qubits)} exceeds register size {n_qubits}")
-
-
-def _apply_inplace(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
-    _check_register(gate, n_qubits)
-    kind = gate.kind
-    if kind in ("h", "phase", "rz"):
-        q = gate.qubits[0]
-        view = amps.reshape(-1, 2, 1 << q)
-        if kind == "h":
-            a0 = view[:, 0, :] + view[:, 1, :]
-            a1 = view[:, 0, :] - view[:, 1, :]
-            view[:, 0, :] = a0 * _RSQRT2
-            view[:, 1, :] = a1 * _RSQRT2
-        elif kind == "phase":
-            view[:, 1, :] *= np.exp(1j * gate.angle)
-        else:  # rz
-            view[:, 0, :] *= np.exp(-0.5j * gate.angle)
-            view[:, 1, :] *= np.exp(0.5j * gate.angle)
-        return
-
-    hi, lo = max(gate.qubits), min(gate.qubits)
-    view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    if kind == "cx":
-        control, _target = gate.qubits
-        if control == hi:
-            swap_a = view[:, 1, :, 0, :]
-            swap_b = view[:, 1, :, 1, :]
-        else:
-            swap_a = view[:, 0, :, 1, :]
-            swap_b = view[:, 1, :, 1, :]
-        tmp = swap_a.copy()
-        swap_a[...] = swap_b
-        swap_b[...] = tmp
-        return
-
-    # ryy = exp(-i * angle/2 * Y(x)Y): mixes |00>/|11> and |01>/|10> blocks,
-    # symmetric under swapping its two qubits
-    cos = math.cos(gate.angle / 2.0)
-    isin = 1j * math.sin(gate.angle / 2.0)
-    b00 = view[:, 0, :, 0, :].copy()
-    b01 = view[:, 0, :, 1, :].copy()
-    view[:, 0, :, 0, :] = cos * b00 + isin * view[:, 1, :, 1, :]
-    view[:, 1, :, 1, :] = isin * b00 + cos * view[:, 1, :, 1, :]
-    view[:, 0, :, 1, :] = cos * b01 - isin * view[:, 1, :, 0, :]
-    view[:, 1, :, 0, :] = -isin * b01 + cos * view[:, 1, :, 0, :]
-
-
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps, state.n_qubits, gate)
-    return Statevector(amps, state.n_qubits)
+# map kind -> gates per linear pair and repetition: none, CX·RZ·CX, or RYY
+_PAIR_GATES = {"z": 0, "zz": 3, "pauli_zyy": 1}
+MAP_KINDS = tuple(_PAIR_GATES)
 
 
 @dataclass(frozen=True)
@@ -184,66 +60,48 @@ class FeatureMapSpec:
     n_qubits: int
     kind: str = "zz"
     reps: int = 3
-    entanglement: str = "linear"
 
     def __post_init__(self):
         check_integer("n_qubits", self.n_qubits)
         check_integer("reps", self.reps)
-        _check_qubits(self.n_qubits)
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}")
         if self.kind not in MAP_KINDS:
             raise ConfigError(f"kind must be one of {MAP_KINDS}, got {self.kind!r}")
         if self.kind in ("zz", "pauli_zyy") and self.n_qubits < 2:
             raise ConfigError(f"{self.kind} maps need at least 2 qubits")
         if self.reps < 1:
             raise ConfigError("reps must be at least 1")
-        if self.entanglement != "linear":
-            raise ConfigError("only linear entanglement is supported")
 
 
-@functools.cache
-def _fixed_gates(n_qubits: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
-    """The angle-free gates of an n-qubit map, built once per register size:
-    H on each qubit, and CX(q, q+1) for each linear pair."""
-    return (tuple(Gate.h(q) for q in range(n_qubits)),
-            tuple(Gate.cx(q, q + 1) for q in range(n_qubits - 1)))
+@dataclass(frozen=True, eq=False)
+class FeatureMap:
+    """The feature map of one row: its spec and a read-only float64 copy of
+    the row, so a caller that changes its own row afterwards changes
+    nothing here.
+
+    Per repetition the circuit is an H layer, the phases 2*x_q, then the
+    pairwise entangler (none for 'z', CX-RZ-CX for 'zz', RYY for
+    'pauli_zyy') with angle 2*(pi-x_q)(pi-x_{q+1}) on each linear pair.
+    len() is its gate count; run_circuit runs it as _embed(spec, x)."""
+    spec: FeatureMapSpec
+    x: np.ndarray
+
+    def __post_init__(self):
+        x = np.array(self.x, dtype=np.float64)
+        if x.shape != (self.spec.n_qubits,):
+            raise ConfigError(f"expected {self.spec.n_qubits} features, got {x.shape}")
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
+
+    def __len__(self) -> int:
+        n = self.spec.n_qubits
+        return self.spec.reps * (2 * n + _PAIR_GATES[self.spec.kind] * (n - 1))
 
 
-class _FeatureMap(list):
-    """A feature map's gate list that carries the spec and the row it embeds.
-    run_circuit runs it as _embed(spec, x) while it holds exactly the gate
-    objects it was built with, and gate by gate once it is changed."""
-
-    def __init__(self, gates: list[Gate], spec: FeatureMapSpec, x: np.ndarray):
-        super().__init__(gates)
-        self.spec, self.x, self._built = spec, x, tuple(gates)
-
-    def is_as_built(self, n_qubits: int) -> bool:
-        return (n_qubits == self.spec.n_qubits and len(self) == len(self._built)
-                and all(map(operator.is_, self, self._built)))
-
-
-def build_feature_map(spec: FeatureMapSpec, x) -> list[Gate]:
-    """Gate list embedding x: per repetition an H layer, single-qubit phases
-    2*x_q, then the pairwise entangler (none for 'z', CX-RZ-CX for 'zz',
-    RYY for 'pauli_zyy') with angle 2*(pi-x_q)(pi-x_{q+1}) on each linear pair.
-
-    Every repetition is the same gates, so one is built and the returned
-    list repeats its (frozen) objects; the H and CX gates are shared by all
-    rows of a register size. The list itself is new on every call, and
-    keeps its own copy of x for run_circuit."""
-    x = np.array(x, dtype=np.float64)
-    if x.shape != (spec.n_qubits,):
-        raise ConfigError(f"expected {spec.n_qubits} features, got {x.shape}")
-    h_layer, cx_pairs = _fixed_gates(spec.n_qubits)
-    rep = list(h_layer)
-    rep += [Gate.phase(q, angle) for q, angle in enumerate((2.0 * x).tolist())]
-    pair_angles = (2.0 * ((math.pi - x[:-1]) * (math.pi - x[1:]))).tolist()
-    if spec.kind == "zz":
-        for cx, angle in zip(cx_pairs, pair_angles):
-            rep += (cx, Gate.rz(cx.qubits[1], angle), cx)
-    elif spec.kind == "pauli_zyy":
-        rep += [Gate.ryy(*cx.qubits, angle) for cx, angle in zip(cx_pairs, pair_angles)]
-    return _FeatureMap(rep * spec.reps, spec, x)
+def build_feature_map(spec: FeatureMapSpec, x) -> FeatureMap:
+    """The feature map embedding row x under spec."""
+    return FeatureMap(spec, x)
 
 
 # The one-qubit matrices of the embedding's layers: H, and the frame V = S·H,
@@ -383,41 +241,24 @@ def _embed(spec: FeatureMapSpec, x: np.ndarray) -> np.ndarray:
     return (_product(w) if state is None else state).ravel()
 
 
-def run_circuit(gates, n_qubits: int) -> Statevector:
-    """Final state of the gates applied to |0...0>.
-
-    A list from build_feature_map that still holds the gates it was built
-    with, on its own register size, runs as _embed. Any other list runs
-    gate by gate."""
-    _check_qubits(n_qubits)
-    if isinstance(gates, _FeatureMap) and gates.is_as_built(n_qubits):
-        amps = _embed(gates.spec, gates.x)
-    else:
-        amps = zero_state(n_qubits).amplitudes
-        for gate in gates:
-            _apply_inplace(amps, n_qubits, gate)
-    state = Statevector(amps, n_qubits)
-    norm = state.norm()
+def run_circuit(circuit: FeatureMap, n_qubits: int) -> np.ndarray:
+    """The amplitudes of the feature map applied to |0...0>, on its own
+    register size."""
+    if not isinstance(circuit, FeatureMap) or n_qubits != circuit.spec.n_qubits:
+        raise ConfigError("run_circuit takes a map from build_feature_map and that map's "
+                          f"qubit count, got {type(circuit).__name__} on {n_qubits} qubits")
+    amps = _embed(circuit.spec, circuit.x)
+    norm = math.sqrt(np.vdot(amps, amps).real)
     if abs(norm - 1.0) > 1e-9:
         raise NumericalError(f"statevector norm drifted to {norm}")
-    return state
-
-
-def embedding_state(x, spec: FeatureMapSpec) -> Statevector:
-    return run_circuit(build_feature_map(spec, x), spec.n_qubits)
+    return amps
 
 
 def _embedding_matrix(X: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     states = np.empty((len(X), 1 << spec.n_qubits), dtype=np.complex128)
     for i, x in enumerate(X):
-        states[i] = embedding_state(x, spec).amplitudes
+        states[i] = run_circuit(build_feature_map(spec, x), spec.n_qubits)
     return states
-
-
-def exact_kernel_entry(x, z, spec: FeatureMapSpec) -> float:
-    overlap = np.vdot(embedding_state(z, spec).amplitudes,
-                      embedding_state(x, spec).amplitudes)
-    return float(np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -441,15 +282,6 @@ def _shot_estimate(p0: float, shots: int, rng: np.random.Generator) -> float:
     """
     hits = int(np.sum(rng.random(shots) < p0))
     return hits / shots
-
-
-def sampled_kernel_entry(x, z, spec: FeatureMapSpec, shot_config: ShotConfig,
-                         rng: np.random.Generator | None = None) -> float:
-    """Estimate the fidelity by measuring the compute-uncompute circuit, whose
-    all-zeros probability is exact_kernel_entry(x, z, spec)."""
-    if rng is None:
-        rng = np.random.default_rng(shot_config.seed)
-    return _shot_estimate(exact_kernel_entry(x, z, spec), shot_config.shots, rng)
 
 
 def _blocks(rows: int, n_qubits: int):

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written with a different algorithmic route
-than the library code: dense matrices instead of strided statevector updates,
-matrix exponentials instead of closed-form blocks, projected gradient descent
+than the library code: gate-by-gate circuits instead of the factored
+embedding, dense matrices and matrix exponentials (which check the gates'
+strided updates) instead of closed-form blocks, projected gradient descent
 instead of SMO, explicit double loops instead of rank tricks.  A bug shared
 by both routes would have to be introduced twice, independently.
 """
@@ -12,21 +13,113 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from qkgene.data_io import SplitSpec, split_indices
 from qkgene.errors import ConfigError
-from qkgene.quantum import (
-    Gate,
-    _apply_inplace,
-    build_feature_map,
-    run_circuit,
-    zero_state,
-)
+from qkgene.quantum import _shot_estimate, cross_kernel_matrix
 
 RSQRT2 = 1.0 / np.sqrt(2.0)
+
+_ARITY = {"h": 1, "phase": 1, "rz": 1, "cx": 2, "ryy": 2}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One gate of a feature-map circuit: H, PHASE, RZ, CX or RYY."""
+    kind: str
+    qubits: tuple[int, ...]
+    angle: float = 0.0
+
+    def __post_init__(self):
+        qubits = self.qubits
+        arity = _ARITY.get(self.kind)
+        if arity != len(qubits):
+            if arity is None:
+                raise ConfigError(f"unknown gate kind {self.kind!r}")
+            raise ConfigError(f"{self.kind} gate takes {arity} qubit(s)")
+        if arity == 2 and qubits[0] == qubits[1]:
+            raise ConfigError("gate qubits must be distinct")
+        if qubits[0] < 0 or qubits[-1] < 0:
+            raise ConfigError("gate qubits must be non-negative")
+
+    @classmethod
+    def h(cls, q: int) -> "Gate":
+        return cls("h", (q,))
+
+    @classmethod
+    def phase(cls, q: int, angle: float) -> "Gate":
+        return cls("phase", (q,), angle)
+
+    @classmethod
+    def rz(cls, q: int, angle: float) -> "Gate":
+        return cls("rz", (q,), angle)
+
+    @classmethod
+    def cx(cls, control: int, target: int) -> "Gate":
+        return cls("cx", (control, target))
+
+    @classmethod
+    def ryy(cls, a: int, b: int, angle: float) -> "Gate":
+        return cls("ryy", (a, b), angle)
+
+
+def zero_state(n_qubits: int) -> np.ndarray:
+    """The amplitudes of |0...0> on n qubits."""
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return amps
+
+
+def _apply_inplace(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
+    """Apply one gate to the amplitudes, in place, through a strided view:
+    qubit q is the (2,) axis of amps.reshape(-1, 2, 2^q)."""
+    if max(gate.qubits) >= n_qubits:
+        raise ConfigError(f"gate on qubit {max(gate.qubits)} exceeds register size {n_qubits}")
+    kind = gate.kind
+    if kind in ("h", "phase", "rz"):
+        q = gate.qubits[0]
+        view = amps.reshape(-1, 2, 1 << q)
+        if kind == "h":
+            a0 = view[:, 0, :] + view[:, 1, :]
+            a1 = view[:, 0, :] - view[:, 1, :]
+            view[:, 0, :] = a0 * RSQRT2
+            view[:, 1, :] = a1 * RSQRT2
+        elif kind == "phase":
+            view[:, 1, :] *= np.exp(1j * gate.angle)
+        else:  # rz
+            view[:, 0, :] *= np.exp(-0.5j * gate.angle)
+            view[:, 1, :] *= np.exp(0.5j * gate.angle)
+        return
+
+    hi, lo = max(gate.qubits), min(gate.qubits)
+    view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    if kind == "cx":
+        control, _target = gate.qubits
+        if control == hi:
+            swap_a = view[:, 1, :, 0, :]
+            swap_b = view[:, 1, :, 1, :]
+        else:
+            swap_a = view[:, 0, :, 1, :]
+            swap_b = view[:, 1, :, 1, :]
+        tmp = swap_a.copy()
+        swap_a[...] = swap_b
+        swap_b[...] = tmp
+        return
+
+    # ryy = exp(-i * angle/2 * Y(x)Y): mixes |00>/|11> and |01>/|10> blocks,
+    # symmetric under swapping its two qubits
+    cos = math.cos(gate.angle / 2.0)
+    isin = 1j * math.sin(gate.angle / 2.0)
+    b00 = view[:, 0, :, 0, :].copy()
+    b01 = view[:, 0, :, 1, :].copy()
+    view[:, 0, :, 0, :] = cos * b00 + isin * view[:, 1, :, 1, :]
+    view[:, 1, :, 1, :] = isin * b00 + cos * view[:, 1, :, 1, :]
+    view[:, 0, :, 1, :] = cos * b01 - isin * view[:, 1, :, 0, :]
+    view[:, 1, :, 0, :] = -isin * b01 + cos * view[:, 1, :, 0, :]
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -122,14 +215,14 @@ def dense_circuit_unitary(gates, n_qubits: int) -> np.ndarray:
     return full
 
 
-def run_circuit_gatewise(gates, n_qubits: int):
-    """Each gate applied on its own by the library's strided update, which
-    tests check gate by gate against the dense unitaries above. The
-    reference for the feature-map program."""
-    state = zero_state(n_qubits)
+def run_circuit_gatewise(gates, n_qubits: int) -> np.ndarray:
+    """The amplitudes of the gates applied to |0...0>, each on its own by
+    the strided update above, which tests check gate by gate against the
+    dense unitaries. The reference for the feature-map program."""
+    amps = zero_state(n_qubits)
     for gate in gates:
-        _apply_inplace(state.amplitudes, n_qubits, gate)
-    return state
+        _apply_inplace(amps, n_qubits, gate)
+    return amps
 
 
 def layer_gatewise(amps: np.ndarray, matrix: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -179,8 +272,7 @@ def gatewise_kernel(left, right, spec) -> np.ndarray:
     """K[i, j] = |<phi(right[j])|phi(left[i])>|^2 from gate-by-gate states
     of gate-by-gate built maps, one overlap at a time."""
     def states(rows):
-        return [run_circuit_gatewise(build_feature_map_gatewise(spec, x),
-                                     spec.n_qubits).amplitudes
+        return [run_circuit_gatewise(build_feature_map_gatewise(spec, x), spec.n_qubits)
                 for x in rows]
 
     right_states = states(right)
@@ -221,10 +313,27 @@ def sampled_kernel_entry_circuit(x, z, spec, shots: int, rng: np.random.Generato
     compute-uncompute circuit U(z)^dagger U(x)|0>, read the all-zeros
     probability off its first amplitude, and count the shots whose uniform
     draw u falls below it."""
-    gates = build_feature_map(spec, x) + inverse_circuit(build_feature_map(spec, z))
-    amp0 = run_circuit(gates, spec.n_qubits).amplitudes[0]
+    gates = build_feature_map_gatewise(spec, x) + inverse_circuit(
+        build_feature_map_gatewise(spec, z))
+    amp0 = run_circuit_gatewise(gates, spec.n_qubits)[0]
     p0 = float(np.clip(amp0.real**2 + amp0.imag**2, 0.0, 1.0))
     return int(np.sum(rng.random(shots) < p0)) / shots
+
+
+def exact_kernel_entry(x, z, spec) -> float:
+    """The exact kernel of one pair of rows: production's cross kernel on a
+    one-row left and a one-row right side."""
+    return float(cross_kernel_matrix(np.asarray([x], dtype=np.float64),
+                                     np.asarray([z], dtype=np.float64), spec)[0, 0])
+
+
+def sampled_kernel_entry(x, z, spec, shot_config, rng: np.random.Generator | None = None) -> float:
+    """The shot estimate of exact_kernel_entry(x, z, spec) by production's
+    estimator, from a generator seeded by shot_config.seed unless rng is
+    given."""
+    if rng is None:
+        rng = np.random.default_rng(shot_config.seed)
+    return _shot_estimate(exact_kernel_entry(x, z, spec), shot_config.shots, rng)
 
 
 def sampled_kernel_circuit(left, right, spec, shots: int, seed: int) -> np.ndarray:

@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_RESULTS
-from oracles import all_pairs_auc, dense_circuit_unitary, hand_scores, pgd_qp
+from oracles import (
+    all_pairs_auc,
+    build_feature_map_gatewise,
+    dense_circuit_unitary,
+    exact_kernel_entry,
+    hand_scores,
+    pgd_qp,
+    sampled_kernel_entry,
+)
 
 from qkgene import cli
 from qkgene.classifier import smo_train
@@ -22,15 +30,7 @@ from qkgene.data_io import LabeledDataset, SplitSpec, stratified_split
 from qkgene.metrics import ConfusionMatrix, roc_auc, scores_from_confusion
 from qkgene.optimizer import FitnessConfig, HhoParams, run_bhho
 from qkgene.pipeline import PipelineConfig, run
-from qkgene.quantum import (
-    FeatureMapSpec,
-    ShotConfig,
-    build_feature_map,
-    exact_kernel_entry,
-    kernel_matrix,
-    run_circuit,
-    sampled_kernel_entry,
-)
+from qkgene.quantum import FeatureMapSpec, ShotConfig, build_feature_map, kernel_matrix, run_circuit
 from qkgene.reduction import pca_fit, pca_transform
 from qkgene.sampling import SmoteConfig, smote_oversample
 from qkgene.synth import blobs_dataset, planted_dataset
@@ -59,8 +59,8 @@ def test_criterion_01_simulator_matches_dense_unitaries():
                     spec = FeatureMapSpec(n, kind, reps=reps)
                     for _ in range(50):
                         x = rng.uniform(0.0, math.pi, n)
-                        gates = build_feature_map(spec, x)
-                        state = run_circuit(gates, n).amplitudes
+                        state = run_circuit(build_feature_map(spec, x), n)
+                        gates = build_feature_map_gatewise(spec, x)
                         dense = dense_circuit_unitary(gates, n) @ basis0[n]
                         assert np.max(np.abs(state - dense)) <= 1e-10
         assert time.monotonic() - start < 10.0

@@ -247,6 +247,32 @@ class TestCliConfigErrors:
         assert err.startswith("config error: cannot write to out.dir: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run-all", "--seed", "abc"],
+         "bad value for seed: invalid literal for int() with base 10: 'abc'"),
+        (["run-all", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_is_one_config_line(self, argv, message):
+        """A usage error exits 1 (2 is a data error) with one line, not
+        argparse's usage block; --seed's value is checked as the key seed."""
+        assert run_cli(argv) == (1, "", f"config error: {message}\n")
+
+    def test_seed_flag_is_the_seed_key(self, tmp_path, csv_path):
+        """--seed N configures exactly what --set seed=N does, and --help
+        still exits 0."""
+        out = tmp_path / "out"
+        base = ["reduce", "--data", csv_path, "--out", str(out), "--no-selection",
+                "--set", "pca.k=2"]
+        artifacts = []
+        for flag in (["--seed", "7"], ["--set", "seed=7"]):
+            assert run_cli(base + flag)[0] == 0
+            artifacts.append({name: (out / name).read_bytes() for name in os.listdir(out)})
+        assert artifacts[0] == artifacts[1] and artifacts[0]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["run-all", "--help"])
+        assert exit_info.value.code == 0
+
 
 # --- fuzz: random --set mixes over every key ---------------------------------
 

@@ -10,7 +10,6 @@ from qkgene.data_io import (
     PhaseScaler,
     SplitSpec,
     load_csv,
-    scale_to_phase,
     split_indices,
     stratified_split,
 )
@@ -324,7 +323,9 @@ class TestPhaseScaler:
                 assert math.isclose(out[:, j].max(), 2.5, abs_tol=1e-9)
 
     def test_scale_to_phase_convenience(self):
+        # the default bounds scale to phase [0, pi], fitted on the dataset
+        # they then transform, with the labels kept
         ds = LabeledDataset(np.array([[0.0], [2.0]]), np.array([1, -1]))
-        out = scale_to_phase(ds)
+        out = PhaseScaler().fit(ds.features).transform(ds)
         np.testing.assert_allclose(out.features.ravel(), [0.0, math.pi])
         assert out.labels.tolist() == ds.labels.tolist()

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -13,37 +14,36 @@ from qkgene.quantum import (
     MAP_KINDS,
     MAX_QUBITS,
     MAX_SHOTS,
+    FeatureMap,
     FeatureMapSpec,
-    Gate,
     ShotConfig,
-    Statevector,
-    apply_gate,
     build_feature_map,
     _embedding_matrix,
     cross_kernel_matrix,
-    embedding_state,
-    exact_kernel_entry,
     kernel_matrix,
     run_circuit,
-    sampled_kernel_entry,
-    zero_state,
 )
 from qkgene.reduction import symmetric_eigendecomposition
 
 from oracles import (
+    Gate,
+    _apply_inplace,
     build_feature_map_gatewise,
     data_map,
     dense_circuit_unitary,
     dense_gate_unitary,
     dense_h,
     dense_phase,
+    exact_kernel_entry,
     fidelity_one_product,
     gatewise_kernel,
     inverse_circuit,
     layer_gatewise,
     run_circuit_gatewise,
     sampled_kernel_circuit,
+    sampled_kernel_entry,
     square_kernel_one_product,
+    zero_state,
 )
 
 RSQRT2 = 2 ** -0.5
@@ -65,70 +65,16 @@ def random_gate(rng, n_qubits):
     return Gate.ryy(int(a), int(b), angle)
 
 
-ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
-# the gate patterns the feature maps emit, their near misses, and the blocks
-# each needs a register of at least 1, 2 or 3 qubits for
-FUSION_BLOCKS = (
-    ("gate", "layer", "shuffled_layer", "partial_layer", "split_layer", "sampled_circuit"),
-    ("sandwich", "rz_on_control", "reversed_cx", "repeated_qubit_layer"),
-    ("other_rz_qubit", "other_second_cx"),
-)
+def apply_gate(amps: np.ndarray, n_qubits: int, gate) -> np.ndarray:
+    """The oracle's strided update of one gate, on a copy of amps."""
+    out = np.array(amps, dtype=np.complex128)
+    _apply_inplace(out, n_qubits, gate)
+    return out
 
 
-@st.composite
-def fusion_circuits(draw):
-    """(gates, n_qubits): random gates mixed with fusable patterns and near
-    misses on 1-7 qubits."""
-    n = draw(st.integers(1, 7))
-    blocks = sum(FUSION_BLOCKS[:n], ())
-    gates = []
-    for _ in range(draw(st.integers(0, 8))):
-        block = draw(st.sampled_from(blocks))
-        order = draw(st.permutations(range(n)))
-        a, b, c = (order + [None, None])[:3]
-        phi = draw(ANGLES)
-        if block == "gate":
-            kind = draw(st.sampled_from(("h", "phase", "rz", "cx", "ryy")[:3 if n == 1 else 5]))
-            gates.append(Gate(kind, (a,) if kind in ("h", "phase", "rz") else (a, b),
-                              0.0 if kind in ("h", "cx") else phi))
-        elif block == "sandwich":
-            gates += [Gate.cx(a, b), Gate.rz(b, phi), Gate.cx(a, b)]
-        elif block == "rz_on_control":
-            gates += [Gate.cx(a, b), Gate.rz(a, phi), Gate.cx(a, b)]
-        elif block == "reversed_cx":
-            gates += [Gate.cx(a, b), Gate.rz(b, phi), Gate.cx(b, a)]
-        elif block == "other_rz_qubit":
-            gates += [Gate.cx(a, b), Gate.rz(c, phi), Gate.cx(a, b)]
-        elif block == "other_second_cx":
-            gates += [Gate.cx(a, b), Gate.rz(b, phi), Gate.cx(c, b)]
-        elif block == "layer":
-            gates += [Gate.h(q) for q in range(n)]
-        elif block == "shuffled_layer":
-            gates += [Gate.h(q) for q in order]
-        elif block == "partial_layer":
-            gates += [Gate.h(q) for q in order[:draw(st.integers(0, n - 1))]]
-        elif block == "split_layer":
-            cut = draw(st.integers(1, n))
-            gates += [Gate.h(q) for q in order[:cut]] + [Gate.phase(a, phi)]
-            gates += [Gate.h(q) for q in order[cut:]]
-        elif block == "repeated_qubit_layer":
-            gates += [Gate.h(q) for q in order[:-1] + [a]]
-        else:  # sampled_circuit: one kernel entry's compute-uncompute circuit
-            kind = draw(st.sampled_from(("z", "zz", "pauli_zyy")[:1 if n == 1 else 3]))
-            spec = FeatureMapSpec(n, kind, reps=draw(st.integers(1, 2)))
-            x, z = (draw(st.lists(ANGLES, min_size=n, max_size=n)) for _ in range(2))
-            gates += build_feature_map(spec, x) + inverse_circuit(build_feature_map(spec, z))
-    return gates, n
-
-
-@st.composite
-def repeated_segments(draw):
-    """(gates, n_qubits): a random segment repeated 1-4 times as the same
-    objects. The segment is a random circuit rotated by a random offset, so
-    its ends can cut an H layer or a CX·RZ·CX sandwich."""
-    gates, n = draw(fusion_circuits())
-    cut = draw(st.integers(0, len(gates)))
-    return (gates[cut:] + gates[:cut]) * draw(st.integers(1, 4)), n
+def embed(spec, x) -> np.ndarray:
+    """The production state of row x: one built map, run."""
+    return run_circuit(build_feature_map(spec, x), spec.n_qubits)
 
 
 @st.composite
@@ -164,13 +110,22 @@ def feature_map_inputs(draw):
 
 
 class TestGateFusion:
-    @given(fusion_circuits())
-    @settings(max_examples=300, deadline=None)
-    def test_fused_matches_gatewise(self, circuit):
-        gates, n = circuit
-        expect = run_circuit_gatewise(gates, n).amplitudes
-        np.testing.assert_allclose(run_circuit(gates, n).amplitudes, expect,
-                                   rtol=0.0, atol=1e-12)
+    def test_run_circuit_takes_only_built_maps(self):
+        """run_circuit has one path: a map from build_feature_map on its own
+        register size. A plain gate list, the oracle's gate list of the same
+        map, a map's row, and a map on any other register size each raise
+        one ConfigError."""
+        spec = FeatureMapSpec(5, "zz", reps=2)
+        x = np.random.default_rng(23).uniform(0.0, math.pi, 5)
+        built = build_feature_map(spec, x)
+        for circuit, n in (([Gate.h(0), Gate.phase(1, 0.3)], 2), ([], 5),
+                           (build_feature_map_gatewise(spec, x), 5), (x, 5),
+                           (built, 4), (built, 6), (built, 0)):
+            with pytest.raises(ConfigError, match=r"^run_circuit takes a map from "
+                               r"build_feature_map and that map's qubit count, got \w+ on "
+                               rf"{n} qubits$"):
+                run_circuit(circuit, n)
+        assert run_circuit(built, 5).tobytes() == _embedding_matrix(x[None, :], spec).tobytes()
 
     @pytest.mark.parametrize("kind", ["z", "zz", "pauli_zyy"])
     @pytest.mark.parametrize("n", [6, 8, 10, 12])  # 12: three H blocks
@@ -184,24 +139,6 @@ class TestGateFusion:
         np.testing.assert_allclose(cross_kernel_matrix(test, train, spec),
                                    gatewise_kernel(test, train, spec), rtol=0.0, atol=1e-12)
 
-    @given(repeated_segments())
-    @settings(max_examples=300, deadline=None)
-    @example(([Gate.phase(0, 0.3)] * 4, 1))
-    @example(([Gate.h(1), Gate.phase(0, 0.3), Gate.h(0)] * 3, 2))
-    @example(([Gate.rz(1, 0.2), Gate.cx(0, 1)] * 3, 2))
-    @example(([Gate.h(0), Gate.h(1)] * 2, 3))
-    def test_repeated_segments_run_gate_by_gate(self, circuit):
-        """A list that repeats one segment as the same objects is not a
-        built feature map, so it runs gate by gate, byte-equal to the
-        gate-by-gate oracle. So does a map's repetition repeated by hand."""
-        gates, n = circuit
-        assert run_circuit(gates, n).amplitudes.tobytes() == run_circuit_gatewise(
-            gates, n).amplitudes.tobytes()
-        spec = FeatureMapSpec(3, "zz", reps=1)
-        by_hand = build_feature_map(spec, [0.1, 0.2, 0.3]) * 3
-        assert run_circuit(by_hand, 3).amplitudes.tobytes() == run_circuit_gatewise(
-            by_hand, 3).amplitudes.tobytes()
-
     @given(maps_with_edge_rows())
     @settings(max_examples=200, deadline=None)
     @example((FeatureMapSpec(14, "zz", reps=6), [0.5] * 14))  # stays factored
@@ -211,12 +148,12 @@ class TestGateFusion:
     def test_program_matches_gatewise_and_dense(self, case):
         """Every map, 1-14 qubits (odd and even) and 1-6 repetitions, on
         both sides of the rank cap: the program's state is within 1e-12 of
-        the map's gates applied one at a time, and, up to 5 qubits, of the
-        product of their dense unitaries."""
+        the oracle's gates applied one at a time, and, up to 5 qubits, of
+        the product of their dense unitaries."""
         spec, x = case
-        gates = build_feature_map(spec, x)
-        state = run_circuit(gates, spec.n_qubits).amplitudes
-        np.testing.assert_allclose(state, run_circuit_gatewise(gates, spec.n_qubits).amplitudes,
+        state = embed(spec, x)
+        gates = build_feature_map_gatewise(spec, x)
+        np.testing.assert_allclose(state, run_circuit_gatewise(gates, spec.n_qubits),
                                    rtol=0.0, atol=1e-12)
         if spec.n_qubits <= 5:
             np.testing.assert_allclose(
@@ -236,9 +173,9 @@ class TestGateFusion:
         x = np.random.default_rng(21).uniform(0.0, math.pi, 12)
         for reps, expect in ((5, 1), (6, 1 if kind == "z" else 2)):
             products.clear()
-            gates = build_feature_map(FeatureMapSpec(12, kind, reps=reps), x)
-            np.testing.assert_allclose(run_circuit(gates, 12).amplitudes,
-                                       run_circuit_gatewise(gates, 12).amplitudes,
+            spec = FeatureMapSpec(12, kind, reps=reps)
+            np.testing.assert_allclose(embed(spec, x),
+                                       run_circuit_gatewise(build_feature_map_gatewise(spec, x), 12),
                                        rtol=0.0, atol=1e-12)
             assert len(products) == expect, (reps, products)
 
@@ -248,12 +185,11 @@ class TestGateFusion:
         half. A one-repetition z map of the zero row, whose phases are all
         0, is that fill: within 1e-12 of 2^(-n/2), of _layer's H on every
         qubit of |0...0> and of the H gates applied one at a time."""
-        state = run_circuit(build_feature_map(FeatureMapSpec(n, "z", reps=1), np.zeros(n)),
-                            n).amplitudes
-        amps = zero_state(n).amplitudes
+        state = embed(FeatureMapSpec(n, "z", reps=1), np.zeros(n))
+        amps = zero_state(n)
         quantum._layer(amps, "h", n, 1)
         for expect in (np.full(1 << n, 2.0 ** (-0.5 * n)), amps,
-                       run_circuit([Gate.h(q) for q in range(n)], n).amplitudes):
+                       run_circuit_gatewise([Gate.h(q) for q in range(n)], n)):
             np.testing.assert_allclose(state, expect, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("layer", ["h", "v", "v_dag", "v_then_h"])
@@ -276,31 +212,22 @@ class TestGateFusion:
                 quantum._layer(amps, layer, n, width)
                 np.testing.assert_allclose(amps, expect, rtol=0.0, atol=1e-12)
 
-    def test_changed_map_runs_gate_by_gate(self):
-        """A built map runs as the program only while it holds the gate
-        objects it was built with, on its own register size. With one gate
-        replaced, one appended or after clear(), on a larger register, or as
-        a plain copy, it runs gate by gate. Changing the row it was built
-        from afterwards changes nothing."""
+    def test_map_keeps_its_own_row(self):
+        """A built map holds a read-only float64 copy of its row: changing
+        the caller's row afterwards changes no amplitude, the copy cannot
+        be written, and the map's fields cannot be reassigned."""
         spec = FeatureMapSpec(5, "zz", reps=2)
         x = np.random.default_rng(23).uniform(0.0, math.pi, 5)
-        replaced, appended, cleared, wider = (build_feature_map(spec, x) for _ in range(4))
-        assert replaced[7].kind == "phase"
-        replaced[7] = Gate.phase(2, replaced[7].angle + 0.5)
-        appended.append(Gate.h(0))
-        cleared.clear()
-        for gates, n in ((replaced, 5), (appended, 5), (cleared, 5), (wider, 7)):
-            np.testing.assert_allclose(run_circuit(gates, n).amplitudes,
-                                       run_circuit_gatewise(gates, n).amplitudes,
-                                       rtol=0.0, atol=1e-12)
-        copy = list(build_feature_map(spec, x))
-        assert run_circuit(copy, 5).amplitudes.tobytes() == run_circuit_gatewise(
-            copy, 5).amplitudes.tobytes()
         row = x.copy()
-        gates = build_feature_map(spec, row)
+        built = build_feature_map(spec, row)
         row[:] = 0.0
-        assert run_circuit(gates, 5).amplitudes.tobytes() == run_circuit(
-            build_feature_map(spec, x), 5).amplitudes.tobytes()
+        assert built.x.dtype == np.float64 and built.x.tobytes() == x.tobytes()
+        assert run_circuit(built, 5).tobytes() == embed(spec, x).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            built.x[0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            built.x = row
+        assert build_feature_map(spec, [1, 2, 3, 4, 5]).x.dtype == np.float64
 
     @pytest.mark.slow
     def test_twenty_qubit_program_matches_gatewise(self):
@@ -309,19 +236,23 @@ class TestGateFusion:
         applied one at a time."""
         x = np.random.default_rng(24).uniform(0.0, math.pi, 20)
         for kind, reps in (("z", 3), ("zz", 3), ("pauli_zyy", 3), ("zz", 10)):
-            gates = build_feature_map(FeatureMapSpec(20, kind, reps=reps), x)
-            np.testing.assert_allclose(run_circuit(gates, 20).amplitudes,
-                                       run_circuit_gatewise(gates, 20).amplitudes,
+            spec = FeatureMapSpec(20, kind, reps=reps)
+            np.testing.assert_allclose(embed(spec, x),
+                                       run_circuit_gatewise(build_feature_map_gatewise(spec, x), 20),
                                        rtol=0.0, atol=1e-12, err_msg=f"{kind} reps={reps}")
 
     def test_diagonal_gate_bounds_checked(self):
+        """The oracle's simulator checks every gate's qubits against the
+        register, diagonal gates and CX·RZ·CX runs included."""
         for run in ([Gate.phase(2, 0.3)], [Gate.rz(1, 0.2), Gate.rz(5, 0.3)],
                     [Gate.cx(0, 2), Gate.rz(2, 0.3), Gate.cx(0, 2)]):
             with pytest.raises(ConfigError, match="exceeds register size 2"):
-                run_circuit([Gate.h(0), Gate.h(1)] + run, 2)
+                run_circuit_gatewise([Gate.h(0), Gate.h(1)] + run, 2)
 
 
 class TestGateValidation:
+    """The oracle's gates check their kind, arity and qubits."""
+
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ConfigError):
             Gate.cx(1, 1)
@@ -353,26 +284,29 @@ class TestGateValidation:
 
     def test_qubit_bounds_checked_at_run(self):
         with pytest.raises(ConfigError):
-            run_circuit([Gate.h(3)], 2)
+            run_circuit_gatewise([Gate.h(3)], 2)
 
 
 class TestSimulator:
+    """The oracle's gate-by-gate simulator against dense unitaries, and the
+    production program's memory and register limits."""
+
     def test_h_on_zero(self):
-        state = run_circuit([Gate.h(0)], 1)
-        np.testing.assert_allclose(state.amplitudes, [RSQRT2, RSQRT2], atol=1e-12)
+        state = run_circuit_gatewise([Gate.h(0)], 1)
+        np.testing.assert_allclose(state, [RSQRT2, RSQRT2], atol=1e-12)
 
     def test_cx_flips_target_when_control_set(self):
         # |10>: qubit 1 (control) is 1, qubit 0 (target) is 0, basis index 2.
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1.0
-        out = apply_gate(Statevector(amps, 2), Gate.cx(1, 0))
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-12)
+        out = apply_gate(amps, 2, Gate.cx(1, 0))
+        np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-12)
 
     def test_cx_no_action_when_control_clear(self):
         amps = np.zeros(4, dtype=complex)
         amps[1] = 1.0  # |01>: control (qubit 1) clear
-        out = apply_gate(Statevector(amps, 2), Gate.cx(1, 0))
-        np.testing.assert_allclose(out.amplitudes, amps, atol=1e-12)
+        out = apply_gate(amps, 2, Gate.cx(1, 0))
+        np.testing.assert_allclose(out, amps, atol=1e-12)
 
     def test_each_gate_kind_matches_dense_oracle(self):
         rng = np.random.default_rng(0)
@@ -381,7 +315,7 @@ class TestSimulator:
             gate = random_gate(rng, n)
             raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             raw /= np.linalg.norm(raw)
-            mine = apply_gate(Statevector(raw.copy(), n), gate).amplitudes
+            mine = apply_gate(raw, n, gate)
             expect = dense_gate_unitary(gate, n) @ raw
             np.testing.assert_allclose(mine, expect, atol=1e-12)
 
@@ -389,23 +323,23 @@ class TestSimulator:
         rng = np.random.default_rng(1)
         for trial in range(10):
             gates = [random_gate(rng, 3) for _ in range(12)]
-            state = run_circuit(gates, 3)
+            state = run_circuit_gatewise(gates, 3)
             expect = dense_circuit_unitary(gates, 3)[:, 0]
-            np.testing.assert_allclose(state.amplitudes, expect, atol=1e-10)
+            np.testing.assert_allclose(state, expect, atol=1e-10)
 
     def test_inverse_circuit_returns_to_start(self):
         rng = np.random.default_rng(2)
         gates = [random_gate(rng, 3) for _ in range(9)]
-        state = run_circuit(gates + inverse_circuit(gates), 3)
+        state = run_circuit_gatewise(gates + inverse_circuit(gates), 3)
         expect = np.zeros(8)
         expect[0] = 1.0
-        np.testing.assert_allclose(state.amplitudes, expect, atol=1e-10)
+        np.testing.assert_allclose(state, expect, atol=1e-10)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
         gates = [random_gate(rng, 2) for _ in range(20)]
-        state = run_circuit(gates, 2)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        state = run_circuit_gatewise(gates, 2)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", MAP_KINDS)
     def test_circuit_keeps_no_state_alive(self, kind):
@@ -416,12 +350,12 @@ class TestSimulator:
         allocated."""
         state_bytes = 16 << 14
         for reps, bound in ((3, 1.25), (8, 2.25)):
-            gates = build_feature_map(FeatureMapSpec(14, kind, reps=reps),
-                                      np.linspace(0.0, 3.0, 14))
-            run_circuit(gates, 14)  # warm the Kronecker-power and table caches
+            circuit = build_feature_map(FeatureMapSpec(14, kind, reps=reps),
+                                        np.linspace(0.0, 3.0, 14))
+            run_circuit(circuit, 14)  # warm the Kronecker-power and table caches
             tracemalloc.start()
             try:
-                state = run_circuit(gates, 14)
+                state = run_circuit(circuit, 14)
                 _current, peak = tracemalloc.get_traced_memory()
                 del state
                 left, _peak = tracemalloc.get_traced_memory()
@@ -431,10 +365,10 @@ class TestSimulator:
             assert left < state_bytes // 8
 
     def test_qubit_count_limits(self):
-        with pytest.raises(ConfigError):
-            zero_state(0)
-        with pytest.raises(ConfigError):
-            zero_state(MAX_QUBITS + 1)
+        for n in (0, MAX_QUBITS + 1):
+            with pytest.raises(ConfigError, match=rf"^n_qubits must be in 1\.\.{MAX_QUBITS}$"):
+                FeatureMapSpec(n, "z")
+        assert FeatureMapSpec(MAX_QUBITS, "z").n_qubits == MAX_QUBITS
 
 
 class TestDataMap:
@@ -459,15 +393,17 @@ class TestDataMap:
 
 class TestFeatureMaps:
     def test_z_map_minimal_construction(self):
-        gates = build_feature_map(FeatureMapSpec(1, "z", reps=1), [0.8])
-        assert len(gates) == 2
-        assert gates[0] == Gate.h(0)
-        assert gates[1] == Gate.phase(0, 1.6)
+        circuit = build_feature_map(FeatureMapSpec(1, "z", reps=1), [0.8])
+        assert len(circuit) == 2
+        assert circuit.x.tolist() == [0.8]
+        assert build_feature_map_gatewise(circuit.spec, [0.8]) == [Gate.h(0), Gate.phase(0, 1.6)]
 
     def test_zz_linear_pairs_only(self):
-        gates = build_feature_map(FeatureMapSpec(3, "zz", reps=1), [0.1, 0.2, 0.3])
+        spec = FeatureMapSpec(3, "zz", reps=1)
+        gates = build_feature_map_gatewise(spec, [0.1, 0.2, 0.3])
         cx_pairs = {g.qubits for g in gates if g.kind == "cx"}
         assert cx_pairs == {(0, 1), (1, 2)}
+        assert len(build_feature_map(spec, [0.1, 0.2, 0.3])) == len(gates) == 3 + 3 + 2 * 3
 
     def test_reps_scale_gate_count(self):
         x = [0.4, 0.9]
@@ -476,10 +412,22 @@ class TestFeatureMaps:
         assert len(thrice) == 3 * len(once)
 
     def test_pauli_zyy_uses_ryy_entanglers(self):
-        gates = build_feature_map(FeatureMapSpec(3, "pauli_zyy", reps=1), [0.1, 0.2, 0.3])
-        kinds = [g.kind for g in gates]
+        spec = FeatureMapSpec(3, "pauli_zyy", reps=1)
+        kinds = [g.kind for g in build_feature_map_gatewise(spec, [0.1, 0.2, 0.3])]
         assert kinds.count("ryy") == 2
         assert "cx" not in kinds
+        assert len(build_feature_map(spec, [0.1, 0.2, 0.3])) == len(kinds) == 3 + 3 + 2
+
+    def test_len_is_the_gatewise_gate_count(self):
+        """len() of a built map is the length of the oracle's gate list, for
+        every map on 1-14 qubits with 1-6 repetitions."""
+        for kind in MAP_KINDS:
+            for n in range(1 if kind == "z" else 2, 15):
+                for reps in range(1, 7):
+                    spec = FeatureMapSpec(n, kind, reps=reps)
+                    x = np.linspace(0.0, math.pi, n)
+                    assert len(build_feature_map(spec, x)) == len(
+                        build_feature_map_gatewise(spec, x)), (kind, n, reps)
 
     def test_entangled_maps_need_two_qubits(self):
         for kind in ("zz", "pauli_zyy"):
@@ -499,25 +447,27 @@ class TestFeatureMaps:
     @given(feature_map_inputs())
     @settings(max_examples=300, deadline=None)
     def test_matches_gatewise_builder(self, case):
+        """A built map keeps the row's float64 bytes, NaN, signed zeros and
+        overflowing values included, and counts the gates the oracle builds
+        from them."""
         spec, x = case
         with np.errstate(over="ignore", invalid="ignore"):
             expect = build_feature_map_gatewise(spec, x)
-            gates = build_feature_map(spec, x)
-        assert [(g.kind, g.qubits) for g in gates] == [(g.kind, g.qubits) for g in expect]
-        assert ([float.hex(g.angle) for g in gates]
-                == [float.hex(g.angle) for g in expect])
+        circuit = build_feature_map(spec, x)
+        assert circuit.spec is spec
+        assert circuit.x.tobytes() == np.asarray(x, dtype=np.float64).tobytes()
+        assert len(circuit) == len(expect)
 
     @given(feature_map_inputs())
     @settings(max_examples=50, deadline=None)
     def test_each_call_returns_a_new_list(self, case):
+        """Each call returns a new map with its own copy of the row."""
         spec, x = case
-        with np.errstate(over="ignore", invalid="ignore"):
-            first = build_feature_map(spec, x)
-            expect = list(first)
-            first.clear()
-            second = build_feature_map(spec, x)
-        assert second is not first
-        assert [(g.kind, g.qubits) for g in second] == [(g.kind, g.qubits) for g in expect]
+        first = build_feature_map(spec, x)
+        second = build_feature_map(spec, x)
+        assert isinstance(second, FeatureMap) and second is not first
+        assert not np.shares_memory(first.x, second.x)
+        assert second.x.tobytes() == first.x.tobytes() and len(second) == len(first)
 
     @given(spec=feature_map_specs(), width=st.integers(0, 11))
     @settings(max_examples=50, deadline=None)
@@ -795,13 +745,13 @@ class TestKernelMatrices:
     def test_kernels_run_one_circuit_per_row(self, monkeypatch, mode):
         """perfbench's trace self-check wraps `quantum.build_feature_map` and
         `quantum.run_circuit` through their module attributes. It counts the
-        run_circuit calls and their gates, and expects 2·n_train + n_test
-        circuits in exact mode, each the full feature-map gate list of one
-        row. Sampled mode draws its shots from the same overlaps, so it runs
-        the same circuits. A change that passed this suite once still failed
-        that traced run on its circuit count, so the wrappers here take
-        positional arguments the way the tracer's do, at the 12 qubits of the
-        kernel_exact workload as well."""
+        run_circuit calls and their gates (len of the map), and expects
+        2·n_train + n_test circuits in exact mode, each the feature map of
+        one row. Sampled mode draws its shots from the same overlaps, so it
+        runs the same circuits. A change that passed this suite once still
+        failed that traced run on its circuit count, so the wrappers here
+        take positional arguments the way the tracer's do, at the 12 qubits
+        of the kernel_exact workload as well."""
         for n in (3, 12):
             built, calls = [], []
             original_build, original_run = quantum.build_feature_map, quantum.run_circuit
@@ -811,8 +761,8 @@ class TestKernelMatrices:
                 return original_build(spec, x)
 
             def traced_run_circuit(*args, **kwargs):
-                gates, n_qubits = args
-                calls.append((tuple(gates), n_qubits))
+                circuit, n_qubits = args
+                calls.append((circuit.x.tobytes(), len(circuit), n_qubits))
                 return original_run(*args, **kwargs)
 
             monkeypatch.setattr(quantum, "build_feature_map", traced_build_feature_map)
@@ -828,16 +778,16 @@ class TestKernelMatrices:
             rows = [*train, *test, *train]
             assert len(built) == len(calls) == 2 * len(train) + len(test)
             assert Counter(built) == Counter(x.tobytes() for x in rows)
-            expect = Counter((tuple(build_feature_map(spec, x)), n) for x in rows)
-            assert Counter(calls) == expect
+            gates = len(build_feature_map_gatewise(spec, rows[0]))
+            assert Counter(calls) == Counter((x.tobytes(), gates, n) for x in rows)
 
     @given(seed=st.integers(0, 10_000), reps=st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
     def test_embedding_always_normalized(self, seed, reps):
         rng = np.random.default_rng(seed)
         x = rng.uniform(0, math.pi, size=3)
-        state = embedding_state(x, FeatureMapSpec(3, "pauli_zyy", reps=reps))
-        assert state.norm() == pytest.approx(1.0, abs=1e-10)
+        state = embed(FeatureMapSpec(3, "pauli_zyy", reps=reps), x)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestSampledMatchesCircuit:
@@ -955,7 +905,7 @@ class TestEmbeddingGolden:
         states = _embedding_matrix(X, spec)
         kernel = kernel_matrix(X, spec)
         oracle = np.array([run_circuit_gatewise(build_feature_map_gatewise(spec, x),
-                                                spec.n_qubits).amplitudes for x in X])
+                                                spec.n_qubits) for x in X])
         np.testing.assert_allclose(states, oracle, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(kernel, square_kernel_one_product(oracle), rtol=0.0, atol=1e-12)
         assert (hashlib.sha256(states.tobytes()).hexdigest(),
