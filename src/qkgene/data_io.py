@@ -95,10 +95,10 @@ def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
     (int). Cells equal to positive_label become +1, everything else -1;
     exactly two distinct raw label values must be present.
 
-    Plain files (no quotes, only printable characters and newlines) are
-    parsed by np.loadtxt; any other file, and any plain file it rejects, is
-    read cell by cell with csv.reader and float(), which words the errors.
-    Both routes accept the same files and return equal arrays.
+    Plain files (no quotes, only printable characters and LF or CRLF line
+    ends) are parsed by np.loadtxt; any other file, and any plain file it
+    rejects, is read cell by cell with csv.reader and float(), which words
+    the errors. Both routes accept the same files and return equal arrays.
     """
     try:
         with open(path, newline="") as fh:
@@ -144,18 +144,19 @@ def _label_index(header: list[str], label_column) -> int:
 def _parse_plain(text: str, label_column):
     """(gene names, features, raw labels) of a plain file, or None.
 
-    Without quotes and control characters other than newline, csv.reader
-    splits each non-blank line on its commas and nothing else, so str.split
-    gives the same rows. On such cells np.loadtxt and float() agree: both
-    strip spaces and parse with the same correctly rounded routine, and the
-    forms only float() accepts ('1_000', non-ASCII digits) make loadtxt
-    raise. Returns None wherever the per-cell route could decide otherwise,
-    so that route gives the result or the error message; only the shared
-    label-column check raises here.
+    With one trailing carriage return dropped per line, csv.reader reads a
+    file without quotes and other control characters as one row per
+    non-blank line split on its commas alone, so str.split gives the same
+    rows. On such cells np.loadtxt and float() agree: both strip spaces and
+    parse with the same correctly rounded routine, and the forms only
+    float() accepts ('1_000', non-ASCII digits) make loadtxt raise. Returns
+    None wherever the per-cell route could decide otherwise, so that route
+    gives the result or the error; only the shared label-column check
+    raises here.
     """
     if '"' in text:
         return None
-    lines = text.split("\n")
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
     if not all(line.isprintable() for line in lines):
         return None
     lines = [line for line in lines if line]
@@ -179,7 +180,10 @@ def _parse_plain(text: str, label_column):
         return None
     if features.shape != (len(lines) - 1, len(genes)):
         return None
-    raw_labels = [line.split(",", label_idx + 1)[label_idx].strip() for line in lines[1:]]
+    if 2 * label_idx > width - 1:  # exact comma count: split from the nearer end
+        raw_labels = [line.rsplit(",", width - label_idx)[1].strip() for line in lines[1:]]
+    else:
+        raw_labels = [line.split(",", label_idx + 1)[label_idx].strip() for line in lines[1:]]
     return [header[i] for i in genes], features, raw_labels
 
 

@@ -132,9 +132,9 @@ def _clip(position: np.ndarray, params: HhoParams) -> np.ndarray:
 
 
 def exploration_step(position: np.ndarray, positions: np.ndarray,
-                     best_position: np.ndarray, params: HhoParams,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Perch on a random peer or relative to swarm mean, chance 50/50."""
+                     best_position: np.ndarray, positions_mean: np.ndarray,
+                     params: HhoParams, rng: np.random.Generator) -> np.ndarray:
+    """Perch on a random peer or relative to positions_mean, chance 50/50."""
     if rng.random() >= 0.5:
         peer = positions[int(rng.integers(len(positions)))]
         r1 = rng.random()
@@ -144,9 +144,7 @@ def exploration_step(position: np.ndarray, positions: np.ndarray,
         r3 = rng.random()
         r4 = rng.random()
         span = params.upper_bound - params.lower_bound
-        new = (best_position - mean_position(positions)) - r3 * (
-            params.lower_bound + r4 * span
-        )
+        new = (best_position - positions_mean) - r3 * (params.lower_bound + r4 * span)
     return _clip(new, params)
 
 
@@ -274,8 +272,8 @@ def run_bhho(train: LabeledDataset, params: HhoParams, fitness_config: FitnessCo
             current_bits = hawk.bits
             e = escaping_energy(t, params.max_iters, rng)
             if abs(e) >= 1.0:
-                moved = evaluate(exploration_step(hawk.position, positions,
-                                                  rabbit.position, params, rng))
+                moved = evaluate(exploration_step(hawk.position, positions, rabbit.position,
+                                                  swarm_mean, params, rng))
             else:
                 moved = exploitation_step(hawk, rabbit.position, swarm_mean, e,
                                           params, rng, evaluate)

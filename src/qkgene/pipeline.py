@@ -274,18 +274,14 @@ def prepare(cfg: PipelineConfig, use_selection: bool,
     def resample(part: LabeledDataset) -> LabeledDataset:
         return smote_oversample(part, smote_cfg) if cfg.smote_enabled else part
 
-    if cfg.pca_before_smote:
-        k_eff = min(cfg.pca_k, train.n_genes, train.n_samples)
-        pca = reduction.pca_fit(train.features, k_eff)
-        train = resample(LabeledDataset(reduction.pca_transform(pca, train.features),
-                                        train.labels))
-        test = LabeledDataset(reduction.pca_transform(pca, test.features), test.labels)
-    else:
+    if not cfg.pca_before_smote:
         train = resample(train)
-        k_eff = min(cfg.pca_k, train.n_genes, train.n_samples)
-        pca = reduction.pca_fit(train.features, k_eff)
-        train = LabeledDataset(reduction.pca_transform(pca, train.features), train.labels)
-        test = LabeledDataset(reduction.pca_transform(pca, test.features), test.labels)
+    k_eff = min(cfg.pca_k, train.n_genes, train.n_samples)
+    pca = reduction.pca_fit(train.features, k_eff)
+    train = LabeledDataset(reduction.pca_transform(pca, train.features), train.labels)
+    test = LabeledDataset(reduction.pca_transform(pca, test.features), test.labels)
+    if cfg.pca_before_smote:
+        train = resample(train)
 
     scaler = PhaseScaler(cfg.scale_lo, cfg.scale_hi).fit(train.features)
     prep.train, prep.test = scaler.transform(train), scaler.transform(test)

@@ -154,6 +154,8 @@ class TestPlainParser:
         ("label,g1\na,1e5\nb,-0.0\n", 0),
         ("g1,g2,label\n\n1,2,a\n\n3,4,b\n", -1),
         ("g1,label\n 1.5 ,a\n+2,b\n", "label"),
+        ("g1,label\r\n1.5,a\r\n2,b\r\n", "label"),  # CRLF line ends
+        ("g1,label\r\n\r\n1.5,a\r\n2,b", 1),       # CRLF blank line, no final newline
     ])
     def test_plain_files_take_the_fast_route(self, tmp_path, text, label_column):
         path = write_csv(tmp_path, text)
@@ -161,10 +163,28 @@ class TestPlainParser:
         assert plain is not None
         assert plain == parse_outcome(data_io._parse_cells, text, path, label_column)
 
+    @pytest.mark.parametrize("label_idx", [0, 700, 1300, 2000])
+    def test_wide_rows_agree_wherever_the_label_sits(self, tmp_path, label_idx):
+        rng = np.random.default_rng(label_idx)
+        header = [f"g{i}" for i in range(2000)]
+        header.insert(label_idx, "label")
+        lines = [",".join(header)]
+        for lab in ["tumor", " normal", "tumor "] * 4:
+            cells = [repr(v) for v in rng.normal(size=2000).tolist()]
+            cells.insert(label_idx, lab)
+            lines.append(",".join(cells))
+        text = "\n".join(lines) + "\n"
+        path = write_csv(tmp_path, text)
+        plain = parse_outcome(data_io._parse_plain, text, "label")
+        assert plain is not None
+        assert plain[1] == (12, 2000)
+        assert plain == parse_outcome(data_io._parse_cells, text, path, "label")
+
     @pytest.mark.parametrize("text", [
         "g1,label\n1_000,a\n2,b\n",         # float() accepts, loadtxt does not
         'g1,label\n"1.5",a\n2,b\n',         # quoted cell
-        "g1,label\r\n1.5,a\r\n2,b\r\n",  # CRLF line ends
+        "g1,label\r\n1.5,a\r\r\n2,b\r\n",  # a second \r before a line end
+        "g1,label\r1.5,a\r2,b\r",          # lone \r line ends
         "g1,label\n\x1c1.5,a\n2,b\n",      # loadtxt strips \x1c, float() does not
         "g1,label\n1.5,a,9\n2,b\n",         # extra trailing field
     ])

@@ -146,7 +146,8 @@ class TestExplorationStep:
         positions = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0],
                               [-1.0, 0.0, 1.0], [2.0, 2.0, 2.0]])
         rng = ScriptedRng(uniforms=[0.6, 0.0, 0.3], integers=[1])
-        out = exploration_step(positions[0], positions, positions[2], params, rng)
+        out = exploration_step(positions[0], positions, positions[2],
+                               positions.mean(axis=0), params, rng)
         np.testing.assert_allclose(out, positions[1])
 
     def test_mean_branch_collapses_to_best_minus_mean(self):
@@ -155,7 +156,8 @@ class TestExplorationStep:
                               [0.0, 0.0, 0.0], [4.0, 4.0, 4.0]])
         best = np.array([5.0, 5.0, 5.0])
         rng = ScriptedRng(uniforms=[0.3, 0.0, 0.7])
-        out = exploration_step(positions[0], positions, best, params, rng)
+        out = exploration_step(positions[0], positions, best, positions.mean(axis=0),
+                               params, rng)
         np.testing.assert_allclose(out, best - positions.mean(axis=0))
 
     def test_two_hawk_hand_recompute(self):
@@ -165,14 +167,16 @@ class TestExplorationStep:
         best = np.array([1.0])
         branch, r1, r2 = 0.9, 0.25, 0.75
         rng = ScriptedRng(uniforms=[branch, r1, r2], integers=[1])
-        out = exploration_step(positions[0], positions, best, params, rng)
+        out = exploration_step(positions[0], positions, best, positions.mean(axis=0),
+                               params, rng)
         peer = positions[1][0]
         expect = peer - r1 * abs(peer - 2.0 * r2 * positions[0][0])
         assert out[0] == pytest.approx(expect, abs=1e-12)
 
         branch, r3, r4 = 0.1, 0.4, 0.6
         rng = ScriptedRng(uniforms=[branch, r3, r4])
-        out = exploration_step(positions[0], positions, best, params, rng)
+        out = exploration_step(positions[0], positions, best, positions.mean(axis=0),
+                               params, rng)
         span = params.upper_bound - params.lower_bound
         expect = (best[0] - positions.mean()) - r3 * (params.lower_bound + r4 * span)
         assert out[0] == pytest.approx(expect, abs=1e-12)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -237,6 +238,24 @@ class TestRunFull:
         cfg = blob_config(tmp_path, pca_before_smote=True)
         payload = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
         assert 0.0 <= payload["accuracy"] <= 1.0
+
+    # sha256 of prepare()'s scaled train/test features and labels, per order
+    PREPARED_GOLDEN = {
+        False: "8502a0936ac9335c3275172127a90ed1137d98a574bab75358c976fee9934ad4",
+        True: "f76e7d768daa07728e9ba6e075f5548053866759a8a91a34f11b0b4f271bd8df",
+    }
+
+    @pytest.mark.parametrize("pca_before_smote", [False, True])
+    def test_prepared_data_is_pinned_for_both_orders(self, tmp_path, pca_before_smote):
+        ds = planted_dataset(40, 12, 3, shift=2.0, seed=9, positive_fraction=0.7)
+        cfg = PipelineConfig(pca_k=3, seed=4, out_dir=str(tmp_path / "out"),
+                             pca_before_smote=pca_before_smote)
+        prep = prepare(cfg, use_selection=False, ds=ds)
+        assert prep.train.n_samples > 30  # SMOTE added rows
+        digest = hashlib.sha256()
+        for part in (prep.train, prep.test):
+            digest.update(part.features.tobytes() + part.labels.tobytes())
+        assert digest.hexdigest() == self.PREPARED_GOLDEN[pca_before_smote]
 
     def test_pca_k_clamped_to_data(self, tmp_path):
         cfg = blob_config(tmp_path, pca_k=50)
