@@ -9,6 +9,7 @@ error, 2 data error, 3 numerical failure or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,7 +39,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args does not change it, and
+    a parser built per call is cyclic garbage that lingers in the heap
+    until a collection."""
     parser = _Parser(
         prog="qkgene",
         description="Gene selection and quantum-kernel classification pipeline",

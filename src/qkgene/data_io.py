@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import floatrepr
 from .errors import ConfigError, DataError
 
 POSITIVE = 1
@@ -93,7 +94,8 @@ def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
 
     label_column picks the label field by header name (str) or position
     (int). Cells equal to positive_label become +1, everything else -1;
-    exactly two distinct raw label values must be present.
+    exactly two distinct raw label values must be present. One leading
+    byte-order mark (U+FEFF) is dropped.
 
     Plain files (no quotes, only printable characters and LF or CRLF line
     ends) are parsed by np.loadtxt; any other file, and any plain file it
@@ -108,6 +110,7 @@ def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not {exc.encoding} text: byte {exc.object[exc.start]:#04x} "
                         f"at offset {exc.start}") from None
+    text = text.removeprefix("\ufeff")  # the byte-order mark of "CSV UTF-8" exports
     parsed = _parse_plain(text, label_column)
     if parsed is None:
         parsed = _parse_cells(text, path, label_column)
@@ -224,8 +227,9 @@ def _parse_cells(text: str, path, label_column):
 
 
 def render(value) -> str:
-    """A float as its shortest round-trip repr, anything else as str."""
-    return repr(value) if isinstance(value, float) else str(value)
+    """A float (np.float64 included) as its shortest round-trip repr, anything
+    else as str."""
+    return float.__repr__(value) if isinstance(value, float) else str(value)
 
 
 def _cell(value) -> str:
@@ -245,39 +249,15 @@ def table_lines(rows):
 def long_format_lines(matrix, prefix: str = ""):
     """Rows `{prefix}{i},{j},{value}` of a 2-d matrix, one chunk per matrix row.
 
-    Each value is repr(float(matrix[i, j])) and each line ends in \\r\\n.
-
-    A square matrix equal to its transpose bit for bit (every training
-    kernel) has each value rendered once: row i renders the entries j >= i
-    and appends the finished line (j, i) to a pending bytearray of row j,
-    which row j emits ahead of its own entries and then frees. The pending
-    text peaks at about n²/4 lines, ~1.5 MB for a 450 × 450 kernel. The
-    guard compares bits, not floats: -0.0 == 0.0 and NaN != NaN as floats,
-    but the two render differently and the same, respectively.
+    Each value is exactly repr(float(matrix[i, j])) and each line ends in
+    \\r\\n. `floatrepr.lines` renders the values with numpy in passes of
+    up to 4096 values (at least one matrix row), in one memory-mapped
+    buffer per call: 4096 × (19 + record words) × 8 bytes, 0.8-0.9 MB.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     n_rows, n_cols = matrix.shape
-    if n_cols == 0:
-        return
-    cols = [f"{j}," for j in range(n_cols)]
-    heads = [f"{prefix}{i}," for i in range(n_rows)]
-    bits = matrix.view(np.uint64)
-    # joining on "\r\n{head}" ends one line and starts the next,
-    # so each value costs a single concatenation
-    if n_rows != n_cols or not np.array_equal(bits, bits.T):
-        for head, row in zip(heads, matrix):
-            yield head + ("\r\n" + head).join(
-                [col + repr(v) for col, v in zip(cols, row.tolist())]) + "\r\n"
-        return
-    pending = [bytearray() for _ in range(n_rows)]
-    for i, head in enumerate(heads):
-        values = [repr(v) for v in matrix[i, i:].tolist()]
-        yield pending[i].decode() + head + ("\r\n" + head).join(
-            [col + v for col, v in zip(cols[i:], values)]) + "\r\n"
-        pending[i] = None
-        col = cols[i]
-        for lower, row_head, v in zip(pending[i + 1:], heads[i + 1:], values[1:]):
-            lower += f"{row_head}{col}{v}\r\n".encode()  # in place: lower is pending[j]
+    yield from floatrepr.lines([f"{prefix}{i}," for i in range(n_rows)],
+                               [f"{j}," for j in range(n_cols)], matrix)
 
 
 def write_text(path, chunks, newline: str | None = None) -> None:

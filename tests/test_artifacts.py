@@ -5,6 +5,7 @@ floats produced (tests/oracles.py keeps that rendering as the reference), and
 a run must never leave a temp file, a stale selection artifact or a
 metrics.json from an unfinished run in its out dir.
 """
+import itertools
 import json
 import os
 import tracemalloc
@@ -15,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import csv_artifact_text, kernel_rows, pca_model_rows
-from qkgene import cli, pipeline
+from qkgene import cli, floatrepr, pipeline
 from qkgene.classifier import SvmModel, rbf_kernel_matrix
-from qkgene.data_io import long_format_lines, table_lines, write_csv
+from qkgene.data_io import long_format_lines, render, table_lines, write_csv
 from qkgene.pipeline import PipelineConfig, config_hash, run
 from qkgene.quantum import FeatureMapSpec, ShotConfig, kernel_matrix
 from qkgene.reduction import pca_fit, save_pca_model
@@ -190,6 +191,113 @@ class TestLongFormatLines:
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
+
+
+def rendered(values) -> str:
+    """What `floatrepr.lines` writes for each value alone on a line."""
+    values = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    return "".join(floatrepr.lines([""], [""] * values.shape[1], values))
+
+
+def expected(values) -> str:
+    return "".join(f"{float(v)!r}\r\n" for v in np.asarray(values, dtype=np.float64).ravel())
+
+
+def from_bits(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+class TestFloatRepr:
+    """The vectorised renderer writes exactly repr(float(v)) for every float64."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, patterns):
+        values = from_bits(patterns)
+        assert rendered(values) == expected(values)
+
+    def test_powers_of_two_and_ten(self):
+        twos = [2.0 ** k for k in range(-1074, 1024)]
+        tens = [float(f"1e{k}") for k in range(-323, 309)]
+        values = np.array(twos + tens)
+        for sign in (1.0, -1.0):
+            assert rendered(sign * values) == expected(sign * values)
+
+    def test_integers_near_two_to_the_53(self):
+        near = [2.0 ** 53 + i for i in range(-40, 41)] + [2.0 ** 54 + 2 * i for i in range(-40, 41)]
+        tens = [1e15 + i for i in range(-40, 41)] + [1e16 - i for i in range(1, 81)]
+        values = np.array(near + tens)
+        assert rendered(values) == expected(values)
+
+    @pytest.mark.parametrize("values", [
+        [1e-4, 9.999999999999999e-05, 1.0000000000000002e-4, 1e-5, 1.5e-5, 0.00012345678901234567],
+        [1e16, 9999999999999998.0, 1.0000000000000002e16, 1e17, 123456789012345.67],
+        [0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 12.5, 1234.5, 0.5, 5e-324 * 2 ** 52],
+    ], ids=["fixed_to_exponent_below", "fixed_to_exponent_above", "point_positions"])
+    def test_layout_switches(self, values):
+        values = np.array(values)
+        assert rendered(values) == expected(values)
+        assert rendered(-values) == expected(-values)
+
+    def test_zeros_subnormals_nan_and_inf(self):
+        patterns = [0, 1 << 63, 1, 2, (1 << 52) - 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF,
+                    0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                    0x7FF0000000000001, 0xFFF8000000000001, 0x7FFFFFFFFFFFFFFF,
+                    0x0010000000000000, 0x8010000000000000]
+        values = from_bits(patterns * 3)
+        assert rendered(values) == expected(values)
+
+    def test_a_million_random_bit_patterns(self):
+        rng = np.random.default_rng(20201)
+        for _ in range(4):
+            values = from_bits(rng.integers(0, 2**64, size=(500, 500), dtype=np.uint64,
+                                            endpoint=False))
+            heads, cols = [f"{i}," for i in range(500)], [f"{j}," for j in range(500)]
+            assert list(floatrepr.lines(heads, cols, values)) == [
+                "".join(f"{h}{c}{v!r}\r\n" for c, v in zip(cols, row.tolist()))
+                for h, row in zip(heads, values)]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4096), (2, 5000), (4097, 1), (70, 59)])
+    def test_block_edges(self, shape):
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 20, size=shape)
+        heads, cols = [f"r{i}," for i in range(shape[0])], [f"{j}," for j in range(shape[1])]
+        assert list(floatrepr.lines(heads, cols, values)) == [
+            "".join(f"{h}{c}{v!r}\r\n" for c, v in zip(cols, row.tolist()))
+            for h, row in zip(heads, values)]
+
+    def test_interleaved_and_wide_calls(self):
+        """Generators running at the same time keep their buffers apart, and
+        heads of one, two and six words lay out alike."""
+        rng = np.random.default_rng(12)
+        matrices = [rng.normal(size=(40, 300)), rng.normal(size=(30, 200)) * 1e6,
+                    rng.normal(size=(9, 100))]
+        prefixes = ["", "component,", "x" * 40 + ","]
+        calls = [([f"{p}{i}," for i in range(len(m))], [f"{j}," for j in range(m.shape[1])], m)
+                 for p, m in zip(prefixes, matrices)]
+        gens = [floatrepr.lines(*call) for call in calls]
+        chunks = [[] for _ in gens]
+        for _ in range(40):  # one row from each generator in turn
+            for gen, got in zip(gens, chunks):
+                got.extend(itertools.islice(gen, 1))
+        for (heads, cols, m), got in zip(calls, chunks):
+            assert got == ["".join(f"{h}{c}{v!r}\r\n" for c, v in zip(cols, row.tolist()))
+                           for h, row in zip(heads, m)]
+
+    def test_heads_must_not_hold_nul(self):
+        with pytest.raises(ValueError, match="NUL"):
+            list(floatrepr.lines(["a\0,"], ["0,"], np.ones((1, 1))))
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float64(0.1 + 0.2), np.float64(-0.0),
+                                       np.float64(np.nan), np.float64(-np.inf), 0.25])
+    def test_render_writes_numpy_floats_as_floats(self, value):
+        assert render(value) == repr(float(value))
+
+    def test_table_rows_render_numpy_floats(self, tmp_path):
+        rows = [(np.float64(0.5), np.float64(1 / 3)), (np.float64(-0.0), 2)]
+        write_csv(tmp_path / "t.csv", [], ["a", "b"], table_lines(rows))
+        assert read_text(tmp_path / "t.csv") == csv_artifact_text(
+            [], ["a", "b"], [(0.5, 1 / 3), (-0.0, 2)])
 
 
 class TestOutDirConsistency:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -130,6 +132,48 @@ def csv_texts(draw):
     ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     label_column = draw(st.sampled_from(["label", label_idx, label_idx - width]))
     return ending.join(lines) + draw(st.sampled_from(["", ending])), label_column
+
+
+BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8, as spreadsheet "CSV UTF-8" exports begin
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("last_cell", [b"2", b'"2"'], ids=["loadtxt", "per_cell"])
+    def test_leading_mark_is_dropped_on_both_routes(self, tmp_path, monkeypatch, last_cell):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + b"label,g1\r\na,1.5\r\nb," + last_cell + b"\r\n")
+        if last_cell == b"2":  # a plain file: the per-cell route must not run
+            monkeypatch.setattr(data_io, "_parse_cells", None)
+        ds = load_csv(path, "label", positive_label="a")
+        assert ds.gene_names == ["g1"]
+        assert ds.features.tolist() == [[1.5], [2.0]]
+        assert ds.labels.tolist() == [1, -1]
+
+    def test_mark_does_not_force_the_per_cell_route(self):
+        text = (BOM + b"label,g1\r\na,1.5\r\nb,2\r\n").decode()
+        assert data_io._parse_plain(text, "label") is None  # the mark is not printable
+        assert data_io._parse_plain(text.removeprefix("\ufeff"), "label") is not None
+
+    def test_only_one_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_bytes(BOM + BOM + b"label,g1\na,1\nb,2\n")
+        with pytest.raises(DataError, match="label column 'label' not in header"):
+            load_csv(path, "label", positive_label="a")
+
+    def test_run_all_reads_a_marked_file(self, tmp_path):
+        from qkgene import cli
+        from qkgene.synth import planted_dataset
+
+        ds = planted_dataset(24, 4, 2, seed=3)
+        rows = [b"label," + ",".join(ds.gene_names).encode()]
+        rows += [("a" if y == 1 else "b").encode() + b"," + ",".join(map(repr, x.tolist())).encode()
+                 for x, y in zip(ds.features, ds.labels)]
+        path = tmp_path / "marked.csv"
+        path.write_bytes(BOM + b"\r\n".join(rows) + b"\r\n")
+        argv = ["run-all", "--data", str(path), "--out", str(tmp_path / "out"),
+                "--no-selection", "--set", "data.positive_label=a", "--set", "pca.k=2"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
 
 
 class TestPlainParser:
