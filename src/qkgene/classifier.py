@@ -47,11 +47,14 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
         raise DataError("C must be positive")
     if not tol > 0:
         raise DataError("tol must be positive")
-    asym = float(np.max(np.abs(K - K.T)))
+    Q = np.subtract(K, K.T)  # one n x n buffer: first |K - K'|, then Q
+    asym = float(np.max(np.abs(Q, out=Q)))
     if asym > SYMMETRY_TOL:
         raise NumericalError(f"kernel matrix asymmetric by {asym:.3e}")
 
-    Q = (y[:, None] * y[None, :]) * K
+    # y is +-1, so (K * y_i) * y_j has the bits of (y_i * y_j) * K
+    np.multiply(K, y[:, None], out=Q)
+    Q *= y
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
     budget = (max_passes if max_passes is not None else 10 * n) * n
@@ -136,13 +139,30 @@ def rbf_kernel_matrix(x, z=None, gamma: float = 1.0) -> np.ndarray:
         raise DataError("gamma must be positive")
     square = z is None
     z = x if square else np.asarray(z, dtype=np.float64)
-    sq = (np.sum(x**2, axis=1)[:, None] + np.sum(z**2, axis=1)[None, :]
-          - 2.0 * (x @ z.T))
-    K = np.exp(-gamma * np.maximum(sq, 0.0))
-    if square:
-        K = np.triu(K, 1)
-        K = K + K.T
-        np.fill_diagonal(K, 1.0)
+    # the operations of exp(-gamma * max(|x|^2 + |z|^2 - 2 x.z, 0)), in that
+    # order, in the result array and one product array
+    K = np.sum(x**2, axis=1)[:, None] + np.sum(z**2, axis=1)[None, :]
+    product = x @ z.T
+    product *= 2.0
+    K -= product
+    del product
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    np.exp(K, out=K)
+    return mirror_upper(K) if square else K
+
+
+def mirror_upper(K: np.ndarray) -> np.ndarray:
+    """Copy the strict upper triangle of square K onto the lower one and set
+    a unit diagonal, in place, one row at a time; returns K.
+
+    On entries >= 0 this gives the bytes of triu(K, 1) + triu(K, 1).T with
+    its diagonal set to 1 (u + 0.0 == u), exactly symmetric whatever order
+    BLAS summed in, without that form's two n x n temporaries.
+    """
+    for i in range(1, len(K)):
+        K[i, :i] = K[:i, i]
+    np.fill_diagonal(K, 1.0)
     return K
 
 

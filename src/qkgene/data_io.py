@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -98,22 +99,27 @@ def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
     byte-order mark (U+FEFF) is dropped.
 
     Plain files (no quotes, only printable characters and LF or CRLF line
-    ends) are parsed by np.loadtxt; any other file, and any plain file it
-    rejects, is read cell by cell with csv.reader and float(), which words
-    the errors. Both routes accept the same files and return equal arrays.
+    ends) are streamed line by line into np.loadtxt; any other file, and any
+    plain file it rejects, is read again from the same handle, whole, and
+    parsed cell by cell with csv.reader and float(), which words the
+    errors. Both routes accept the same files and return equal arrays.
     """
     try:
-        with open(path, newline="") as fh:
-            text = fh.read()
+        with open(path, newline="\n") as fh:  # lines end at \n alone; nothing is translated
+            try:
+                if fh.read(1) != "\ufeff":  # the byte-order mark of "CSV UTF-8" exports
+                    fh.seek(0)
+                parsed = _parse_plain(fh, label_column)
+            except UnicodeDecodeError:  # the one read below reports its absolute offset
+                parsed = None
+            if parsed is None:
+                fh.seek(0)
+                parsed = _parse_cells(fh.read().removeprefix("\ufeff"), path, label_column)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not {exc.encoding} text: byte {exc.object[exc.start]:#04x} "
                         f"at offset {exc.start}") from None
-    text = text.removeprefix("\ufeff")  # the byte-order mark of "CSV UTF-8" exports
-    parsed = _parse_plain(text, label_column)
-    if parsed is None:
-        parsed = _parse_cells(text, path, label_column)
     gene_names, features, raw_labels = parsed
 
     if len(features) < 2:
@@ -144,8 +150,30 @@ def _label_index(header: list[str], label_column) -> int:
         raise DataError(f"label column {label_column!r} not in header") from None
 
 
-def _parse_plain(text: str, label_column):
+class _NotPlain(Exception):
+    """A line the np.loadtxt route cannot vouch for."""
+
+
+def _plain_lines(lines):
+    """The non-blank lines of `lines`, each without its \\n and one trailing
+    \\r, as they are read. Raises _NotPlain at a quote or at an
+    unprintable character, such as a lone \\r."""
+    for line in lines:
+        line = line.removesuffix("\n").removesuffix("\r")
+        if '"' in line or not line.isprintable():
+            raise _NotPlain
+        if line:
+            yield line
+
+
+def _parse_plain(lines, label_column):
     """(gene names, features, raw labels) of a plain file, or None.
+
+    `lines` yields the file's lines, split at \\n alone and with their line
+    ends, as a text file opened with newline="\\n" does. It is read once:
+    np.loadtxt takes each data line as it is read and checked, and its
+    label is kept on the way, so neither the text nor a list of its lines
+    is held.
 
     With one trailing carriage return dropped per line, csv.reader reads a
     file without quotes and other control characters as one row per
@@ -154,39 +182,41 @@ def _parse_plain(text: str, label_column):
     parse with the same correctly rounded routine, and the forms only
     float() accepts ('1_000', non-ASCII digits) make loadtxt raise. Returns
     None wherever the per-cell route could decide otherwise, so that route
-    gives the result or the error; only the shared label-column check
-    raises here.
+    gives the result or the error; that includes a missing label column,
+    which that route reports after any error of its own that comes first,
+    and text that cannot be decoded.
     """
-    if '"' in text:
-        return None
-    lines = [line.removesuffix("\r") for line in text.split("\n")]
-    if not all(line.isprintable() for line in lines):
-        return None
-    lines = [line for line in lines if line]
-    if len(lines) < 2:
-        return None
-    header = lines[0].split(",")
-    width = len(header)
-    label_idx = _label_index(header, label_column)
-    genes = [i for i in range(width) if i != label_idx]
-    limit = csv.field_size_limit()  # csv.reader raises on longer fields
-    if not genes or any(
-        line.count(",") != width - 1
-        or (len(line) > limit and max(map(len, line.split(","))) > limit)
-        for line in lines
-    ):
-        return None
+    rows = _plain_lines(lines)
     try:
-        features = np.loadtxt(lines[1:], delimiter=",", usecols=genes,
+        header = next(rows, None)
+        first = next(rows, None)
+        if first is None:
+            return None
+        header = header.split(",")
+        width = len(header)
+        label_idx = _label_index(header, label_column)
+        genes = [i for i in range(width) if i != label_idx]
+        if not genes:
+            return None
+        limit = csv.field_size_limit()  # csv.reader raises on longer fields
+        from_right = 2 * label_idx > width - 1  # exact comma count: split from the nearer end
+        raw_labels = []
+
+        def data_lines():
+            for line in itertools.chain([first], rows):
+                if line.count(",") != width - 1 or (
+                        len(line) > limit and max(map(len, line.split(","))) > limit):
+                    raise _NotPlain
+                raw_labels.append((line.rsplit(",", width - label_idx)[1] if from_right
+                                   else line.split(",", label_idx + 1)[label_idx]).strip())
+                yield line
+
+        features = np.loadtxt(data_lines(), delimiter=",", usecols=genes,
                               comments=None, ndmin=2)
-    except ValueError:
+    except (_NotPlain, DataError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
-    if features.shape != (len(lines) - 1, len(genes)):
+    if features.shape != (len(raw_labels), len(genes)):
         return None
-    if 2 * label_idx > width - 1:  # exact comma count: split from the nearer end
-        raw_labels = [line.rsplit(",", width - label_idx)[1].strip() for line in lines[1:]]
-    else:
-        raw_labels = [line.split(",", label_idx + 1)[label_idx].strip() for line in lines[1:]]
     return [header[i] for i in genes], features, raw_labels
 
 

@@ -258,6 +258,7 @@ def prepare(cfg: PipelineConfig, use_selection: bool,
                       key="split.test_fraction")
     )
     prep = PreparedData(train=train, test=test, gene_names=list(ds.gene_names))
+    del ds  # the split copied its rows: free the loaded matrix
     if use_selection:
         prep.mask, prep.history = _select(cfg, train)
         train = train.select_genes(prep.mask.bits)

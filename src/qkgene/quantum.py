@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import mirror_upper
 from .errors import ConfigError, NumericalError, check_integer
 
 MAX_QUBITS = 24
@@ -335,14 +336,12 @@ def kernel_matrix(X, spec: FeatureMapSpec, mode: str = "exact",
     X = np.asarray(X, dtype=np.float64)
     states = _embedding_matrix(X, spec)
     K = np.empty((len(states), len(states)))
-    # only the blocks on or above the diagonal, which triu keeps. Each block's
-    # left rows end at a block boundary or at the last row, so BLAS groups
-    # them as it does in one product over all rows.
+    # only the blocks on or above the diagonal, which mirror_upper reads.
+    # Each block's left rows end at a block boundary or at the last row, so
+    # BLAS groups them as it does in one product over all rows.
     for start, stop in _blocks(len(states), spec.n_qubits):
         _fidelities(states[:stop], states[start:stop].conj(), K[:stop, start:stop])
-    K = np.triu(K, 1)
-    K = K + K.T  # bit-exact symmetry regardless of BLAS summation order
-    np.fill_diagonal(K, 1.0)
+    mirror_upper(K)
     if mode == "sampled":
         _draw_shots(K, shot_config, square=True)
     return K

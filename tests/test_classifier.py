@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from qkgene.classifier import (
     clip_kernel_psd,
     decision_function,
     dual_objective,
+    mirror_upper,
     predict,
     rbf_kernel_matrix,
     smo_train,
@@ -13,6 +16,17 @@ from qkgene.classifier import (
 from qkgene.errors import ConvergenceError, DataError, NumericalError
 
 from oracles import pgd_qp
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the most memory it allocated at once, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def random_psd_instance(rng, n):
@@ -130,6 +144,23 @@ class TestSmoTrain:
         with pytest.raises(NumericalError):
             smo_train(K, np.array([1, -1, 1]))
 
+    def test_kernel_is_left_unchanged(self):
+        rng = np.random.default_rng(12)
+        K, labels = random_psd_instance(rng, 9)
+        before = K.copy()
+        smo_train(K, labels)
+        assert K.tobytes() == before.tobytes()
+
+    def test_peak_is_one_matrix_beside_the_kernel(self):
+        """The asymmetry check and Q share one n x n buffer; the kernel
+        itself is the caller's."""
+        n = 450
+        x = np.random.default_rng(13).normal(size=(n, 8))
+        K = rbf_kernel_matrix(x, gamma=1 / 8)
+        labels = np.where(x[:, 0] > 0, 1, -1)
+        _model, peak = traced_peak(smo_train, K, labels)
+        assert peak < 1.25 * n * n * 8, peak / (n * n * 8)
+
     def test_array_like_kernel_accepted(self):
         model = smo_train([[1.0, 0.0], [0.0, 1.0]], [1, -1], c=10.0, tol=1e-8)
         np.testing.assert_allclose(model.alphas, [1.0, 1.0], atol=1e-8)
@@ -219,6 +250,44 @@ class TestRbfKernel:
     def test_gamma_must_be_positive(self):
         with pytest.raises(DataError):
             rbf_kernel_matrix(np.zeros((2, 2)), gamma=0.0)
+
+    @pytest.mark.parametrize("n_left, n_right", [(1, None), (40, None), (40, 17), (3, 50)])
+    def test_bits_match_the_out_of_place_formula(self, n_left, n_right):
+        rng = np.random.default_rng(n_left)
+        x = rng.normal(size=(n_left, 5))
+        x[-1] = x[0]  # a zero distance
+        z = None if n_right is None else rng.normal(size=(n_right, 5))
+        right = x if z is None else z
+        expect = np.exp(-0.3 * np.maximum(
+            np.sum(x**2, axis=1)[:, None] + np.sum(right**2, axis=1)[None, :]
+            - 2.0 * (x @ right.T), 0.0))
+        if z is None:
+            expect = np.triu(expect, 1)
+            expect = expect + expect.T
+            np.fill_diagonal(expect, 1.0)
+        assert rbf_kernel_matrix(x, z, gamma=0.3).tobytes() == expect.tobytes()
+
+    def test_peak_is_two_result_sized_arrays(self):
+        """The result and one product array; the square kernel is mirrored
+        in place."""
+        n = 450
+        x = np.random.default_rng(14).normal(size=(n, 8))
+        _K, peak = traced_peak(rbf_kernel_matrix, x, gamma=1 / 8)
+        assert peak < 2.25 * n * n * 8, peak / (n * n * 8)
+
+
+class TestMirrorUpper:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_bits_match_the_triangle_sum(self, n):
+        rng = np.random.default_rng(n)
+        K = rng.random((n, n)) * rng.integers(0, 2, size=(n, n))  # zeros among them
+        K[rng.random((n, n)) < 0.05] = np.inf
+        expect = np.triu(K, 1)
+        expect = expect + expect.T
+        np.fill_diagonal(expect, 1.0)
+        out = mirror_upper(K)
+        assert out is K
+        assert K.tobytes() == expect.tobytes()
 
 
 class TestPsdClip:

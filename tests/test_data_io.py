@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,42 @@ class TestLoadCsv:
         assert ds.features.shape == (62, 2000)
         assert ds.class_counts() == {1: 40, -1: 22}
 
+    def test_decode_error_offset_is_absolute_past_the_first_read_chunk(self, tmp_path):
+        """The plain route reads line by line, and a decoder raising there
+        counts from the start of its read chunk, not of the file."""
+        head = "g1,label\n" + "1.25,a\n2.5,b\n" * 6000
+        path = tmp_path / "late.csv"
+        path.write_bytes(head.encode() + b"3.0,caf\xe9\n")
+        offset = len(head) + len("3.0,caf")
+        assert offset >= 70_000
+        with pytest.raises(DataError, match=f"byte 0xe9 at offset {offset}$"):
+            load_csv(path, "label", positive_label="a")
+
+    @pytest.mark.parametrize("n_rows, n_genes", [(600, 200), (62, 2000)])
+    def test_peak_stays_within_twice_the_feature_matrix(self, tmp_path, n_rows, n_genes):
+        """The text and its lines are never held: the plain route streams
+        the file into np.loadtxt one line at a time."""
+        rng = np.random.default_rng(n_genes)
+        path = tmp_path / "wide.csv"
+        with open(path, "w") as fh:
+            fh.write(",".join(f"g{i}" for i in range(n_genes)) + ",label\n")
+            for i in range(n_rows):
+                fh.write(",".join(map(repr, rng.normal(size=n_genes).tolist()))
+                         + ("," + "ab"[i % 2]) + "\n")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, "label", positive_label="a")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (n_rows, n_genes)
+        assert peak < 2 * ds.features.nbytes, peak / ds.features.nbytes
+
+
+def as_file(text):
+    """The lines of text as load_csv reads them, split at \\n alone."""
+    return io.StringIO(text, newline="\n")
+
 
 def parse_outcome(parse, *args):
     """A parser's result with arrays as bytes, or its DataError message."""
@@ -151,8 +188,8 @@ class TestByteOrderMark:
 
     def test_mark_does_not_force_the_per_cell_route(self):
         text = (BOM + b"label,g1\r\na,1.5\r\nb,2\r\n").decode()
-        assert data_io._parse_plain(text, "label") is None  # the mark is not printable
-        assert data_io._parse_plain(text.removeprefix("\ufeff"), "label") is not None
+        assert data_io._parse_plain(as_file(text), "label") is None  # the mark is not printable
+        assert data_io._parse_plain(as_file(text.removeprefix("\ufeff")), "label") is not None
 
     def test_only_one_mark_is_dropped(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -189,7 +226,7 @@ class TestPlainParser:
             fh.write(text)
         with open(path, newline="") as fh:
             read_back = fh.read()
-        plain = parse_outcome(data_io._parse_plain, read_back, label_column)
+        plain = parse_outcome(data_io._parse_plain, as_file(read_back), label_column)
         if plain is not None:
             assert plain == parse_outcome(data_io._parse_cells, read_back, path, label_column)
 
@@ -203,7 +240,7 @@ class TestPlainParser:
     ])
     def test_plain_files_take_the_fast_route(self, tmp_path, text, label_column):
         path = write_csv(tmp_path, text)
-        plain = parse_outcome(data_io._parse_plain, text, label_column)
+        plain = parse_outcome(data_io._parse_plain, as_file(text), label_column)
         assert plain is not None
         assert plain == parse_outcome(data_io._parse_cells, text, path, label_column)
 
@@ -219,7 +256,7 @@ class TestPlainParser:
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
         path = write_csv(tmp_path, text)
-        plain = parse_outcome(data_io._parse_plain, text, "label")
+        plain = parse_outcome(data_io._parse_plain, as_file(text), "label")
         assert plain is not None
         assert plain[1] == (12, 2000)
         assert plain == parse_outcome(data_io._parse_cells, text, path, "label")
@@ -233,7 +270,7 @@ class TestPlainParser:
         "g1,label\n1.5,a,9\n2,b\n",         # extra trailing field
     ])
     def test_other_files_take_the_per_cell_route(self, text):
-        assert data_io._parse_plain(text, "label") is None
+        assert data_io._parse_plain(as_file(text), "label") is None
 
     def test_per_cell_route_reads_the_file_once(self, tmp_path, monkeypatch):
         path = write_csv(tmp_path, 'g1,label\n"1.5",a\n2,b\n')
