@@ -47,14 +47,19 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
         raise DataError("C must be positive")
     if not tol > 0:
         raise DataError("tol must be positive")
-    Q = np.subtract(K, K.T)  # one n x n buffer: first |K - K'|, then Q
+    # One n x n buffer: first |K - K'|, then Q. It is in column order, so
+    # the pair updates read Q[:, i] contiguously, and it is filled through
+    # its row-order transpose Qt, so each fill streams through memory.
+    Q = np.empty((n, n), order="F")
+    Qt = Q.T
+    np.subtract(K.T, K, out=Qt)
     asym = float(np.max(np.abs(Q, out=Q)))
     if asym > SYMMETRY_TOL:
         raise NumericalError(f"kernel matrix asymmetric by {asym:.3e}")
 
     # y is +-1, so (K * y_i) * y_j has the bits of (y_i * y_j) * K
-    np.multiply(K, y[:, None], out=Q)
-    Q *= y
+    np.multiply(K.T, y, out=Qt)
+    Qt *= y[:, None]
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
     budget = (max_passes if max_passes is not None else 10 * n) * n

@@ -154,13 +154,19 @@ class _NotPlain(Exception):
     """A line the np.loadtxt route cannot vouch for."""
 
 
+# the printable ASCII characters but the quote: an ASCII line is plain
+# exactly when deleting these bytes leaves none
+_PLAIN_ASCII = bytes(c for c in range(0x20, 0x7F) if c != ord('"'))
+
+
 def _plain_lines(lines):
     """The non-blank lines of `lines`, each without its \\n and one trailing
     \\r, as they are read. Raises _NotPlain at a quote or at an
     unprintable character, such as a lone \\r."""
     for line in lines:
         line = line.removesuffix("\n").removesuffix("\r")
-        if '"' in line or not line.isprintable():
+        if (line.encode().translate(None, _PLAIN_ASCII) if line.isascii()
+                else '"' in line or not line.isprintable()):
             raise _NotPlain
         if line:
             yield line

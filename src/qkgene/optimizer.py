@@ -199,7 +199,7 @@ def binarize(position: np.ndarray, current_bits: np.ndarray, kind: str,
     prob = transfer_probability(position, kind)
     draws = rng.random(len(prob))
     if kind == "s":
-        return (draws < prob).astype(np.int8)
+        return (draws < prob).view(np.int8)
     current_bits = np.asarray(current_bits, dtype=np.int8)
     return np.where(draws < prob, 1 - current_bits, current_bits).astype(np.int8)
 
@@ -209,30 +209,33 @@ def make_fitness(train: LabeledDataset, config: FitnessConfig) -> Callable[[np.n
     fit_idx, val_idx = split_indices(
         train.labels, SplitSpec(config.val_fraction, config.seed, key="fitness.val_fraction")
     )
-    fit_x, fit_y = train.features[fit_idx], train.labels[fit_idx]
-    val_x, val_y = train.features[val_idx], train.labels[val_idx]
-    # A mask enters as 0/1 weights: sum_g w_g (v_g - f_g)^2 over all genes is
-    # the squared distance over the selected ones, with no column gather.
-    fit_sq, val_sq = fit_x**2, val_x**2
-    fit_xt = np.ascontiguousarray(fit_x.T)
-    val_positive = val_y > 0
-    k = min(config.knn_k, len(fit_x))
+    n_fit = len(fit_idx)
+    # gene-major: row g holds gene g of the fit rows, then of the validation
+    # rows, so a mask's genes are one row gather
+    genes = np.ascontiguousarray(train.features[np.concatenate([fit_idx, val_idx])].T)
+    fit_y = train.labels[fit_idx]
+    val_positive = train.labels[val_idx] > 0
+    k = min(config.knn_k, n_fit)
     dim = train.n_genes
 
     def score(bits: np.ndarray) -> float:
         """alpha * k-NN validation error + (1 - alpha) * selected fraction.
 
-        Neighbours are ordered by a stable argsort of the squared distances,
-        so equal distances keep fit-row order; a tied vote predicts +1.
+        A validation row v ranks the fit rows f by |f|^2 - 2 v.f over the
+        selected genes: its squared distance less |v|^2, which is the same
+        for every f in its ranking. Neighbours are ordered by a stable
+        argsort, so equal distances keep fit-row order; a tied vote
+        predicts +1.
         """
-        weights = np.asarray(bits, dtype=np.float64)
-        count = int(weights.sum())
+        selected = np.flatnonzero(np.asarray(bits, dtype=np.bool_))
+        count = len(selected)
         if count == 0:
             return math.inf
-        d2 = ((val_sq @ weights)[:, None] + (fit_sq @ weights)[None, :]
-              - 2.0 * ((val_x * weights) @ fit_xt))
+        block = genes.take(selected, axis=0)
+        fit = block[:, :n_fit]
+        d2 = np.einsum("ij,ij->j", fit, fit) - 2.0 * (block[:, n_fit:].T @ fit)
         votes = fit_y[np.argsort(d2, axis=1, kind="stable")[:, :k]].sum(axis=1)
-        error = int(np.count_nonzero((votes >= 0) != val_positive)) / len(val_y)
+        error = int(np.count_nonzero((votes >= 0) != val_positive)) / len(val_positive)
         return config.alpha * error + (1.0 - config.alpha) * count / dim
 
     return score

@@ -510,6 +510,36 @@ def gather_fitness(train, config, bits) -> float:
     return config.alpha * error + (1.0 - config.alpha) * count / train.n_genes
 
 
+def masked_fitness(train, config):
+    """The wrapper objective's closure with each mask entering as 0/1 weights
+    over all genes, on the validation split the library draws for `config`:
+    sum_g w_g (v_g - f_g)^2 is the squared distance over the selected genes,
+    with no gather."""
+    fit_idx, val_idx = split_indices(
+        train.labels, SplitSpec(config.val_fraction, config.seed, key="fitness.val_fraction")
+    )
+    fit_x, fit_y = train.features[fit_idx], train.labels[fit_idx]
+    val_x, val_y = train.features[val_idx], train.labels[val_idx]
+    fit_sq, val_sq = fit_x**2, val_x**2
+    fit_xt = np.ascontiguousarray(fit_x.T)
+    val_positive = val_y > 0
+    k = min(config.knn_k, len(fit_x))
+    dim = train.n_genes
+
+    def score(bits: np.ndarray) -> float:
+        weights = np.asarray(bits, dtype=np.float64)
+        count = int(weights.sum())
+        if count == 0:
+            return math.inf
+        d2 = ((val_sq @ weights)[:, None] + (fit_sq @ weights)[None, :]
+              - 2.0 * ((val_x * weights) @ fit_xt))
+        votes = fit_y[np.argsort(d2, axis=1, kind="stable")[:, :k]].sum(axis=1)
+        error = int(np.count_nonzero((votes >= 0) != val_positive)) / len(val_y)
+        return config.alpha * error + (1.0 - config.alpha) * count / dim
+
+    return score
+
+
 def csv_artifact_text(comments, header, rows) -> str:
     """An artifact as csv.writer renders it: `# comment` lines ending in \\n,
     then the header and rows with floats as repr and everything else as str."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkgene import classifier
 from qkgene.classifier import (
     clip_kernel_psd,
     decision_function,
@@ -160,6 +161,31 @@ class TestSmoTrain:
         labels = np.where(x[:, 0] > 0, 1, -1)
         _model, peak = traced_peak(smo_train, K, labels)
         assert peak < 1.25 * n * n * 8, peak / (n * n * 8)
+
+    @pytest.mark.parametrize("asymmetry", [0.0, 1e-10])
+    def test_column_order_buffer_gives_the_row_order_bits(self, asymmetry, monkeypatch):
+        """Q's layout changes no value: alphas and bias equal those of a run
+        whose buffer np.empty makes in row order, on the 450-row RBF kernel
+        and on that kernel made asymmetric within SYMMETRY_TOL."""
+        n = 450
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(n, 8))
+        K = rbf_kernel_matrix(x, gamma=1 / 8) + asymmetry * np.triu(rng.random((n, n)), 1)
+        labels = np.where(x[:, 0] > 0, 1, -1)
+        model = smo_train(K, labels)
+
+        class RowOrderNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, dtype=float, order="C"):
+                return np.empty(shape, dtype)
+
+        monkeypatch.setattr(classifier, "np", RowOrderNumpy())
+        expect = smo_train(K, labels)
+        assert model.alphas.tobytes() == expect.alphas.tobytes()
+        assert model.bias == expect.bias
 
     def test_array_like_kernel_accepted(self):
         model = smo_train([[1.0, 0.0], [0.0, 1.0]], [1, -1], c=10.0, tol=1e-8)

@@ -272,6 +272,19 @@ class TestPlainParser:
     def test_other_files_take_the_per_cell_route(self, text):
         assert data_io._parse_plain(as_file(text), "label") is None
 
+    @given(line=st.text(st.one_of(st.characters(max_codepoint=0x7F),
+                                  st.sampled_from('"\x00\x1f\x7f\r\n,'),
+                                  st.characters(min_codepoint=0x80)), max_size=30))
+    @settings(max_examples=1000, deadline=None)
+    def test_plain_line_check_is_the_quote_and_printable_rule(self, line):
+        stripped = line.removesuffix("\n").removesuffix("\r")
+        try:
+            list(data_io._plain_lines([line]))
+            plain = True
+        except data_io._NotPlain:
+            plain = False
+        assert plain == ('"' not in stripped and stripped.isprintable())
+
     def test_per_cell_route_reads_the_file_once(self, tmp_path, monkeypatch):
         path = write_csv(tmp_path, 'g1,label\n"1.5",a\n2,b\n')
         opened = []

@@ -1,12 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qkgene import optimizer
-from qkgene.data_io import LabeledDataset
+from qkgene.data_io import LabeledDataset, SplitSpec, split_indices
 from qkgene.errors import ConfigError, DataError
 from qkgene.optimizer import (
     FeatureMask,
@@ -32,6 +33,7 @@ from oracles import (
     knn_predict,
     logistic_two_branch,
     mantegna_reference,
+    masked_fitness,
 )
 
 
@@ -450,6 +452,75 @@ class TestFitnessMatchesGatherOracle:
             if not bits.any():
                 bits[rng.integers(300)] = 1  # density 0: a single gene
             assert score(bits) == gather_fitness(ds, config, bits)
+
+
+class TestFitnessMatchesMaskedOracle:
+    """The closure's gathered gene-major rows against 0/1 weights over all
+    genes, at the paper's colon shape of 62 x 2000."""
+
+    @staticmethod
+    def colon(seed=43):
+        return planted_dataset(62, 2000, 10, shift=2.0, seed=seed, positive_fraction=0.645)
+
+    @pytest.mark.parametrize("knn_k", [1, 5])
+    @pytest.mark.parametrize("alpha", [0.99, 1.0])
+    def test_random_masks_from_one_gene_to_all(self, knn_k, alpha):
+        ds = self.colon()
+        config = FitnessConfig(alpha=alpha, knn_k=knn_k, seed=knn_k)
+        score, reference = make_fitness(ds, config), masked_fitness(ds, config)
+        rng = np.random.default_rng(knn_k + int(10 * alpha))
+        for count in np.unique(np.geomspace(1, 2000, 500).astype(int)).tolist() * 2:
+            bits = np.zeros(2000, dtype=np.int8)
+            bits[rng.choice(2000, count, replace=False)] = 1
+            value = score(bits)
+            assert type(value) is float
+            assert value == reference(bits), count
+
+    def test_identical_fit_rows_tie_in_fit_row_order(self):
+        """Two fit rows of opposite labels hold the same real values and
+        every validation row sits next to them, so each mask's nearest
+        neighbour is a tie the first fit row must win."""
+        ds = self.colon(seed=44)
+        config = FitnessConfig(alpha=1.0, knn_k=1, seed=3)
+        fit_idx, val_idx = split_indices(
+            ds.labels, SplitSpec(config.val_fraction, config.seed))
+        first = fit_idx[0]
+        second = next(i for i in fit_idx if ds.labels[i] != ds.labels[first])
+        features = ds.features.copy()
+        features[first] = features[second]
+        rng = np.random.default_rng(5)
+        features[val_idx] = features[second] + 1e-3 * rng.normal(size=(len(val_idx), 2000))
+        ds = LabeledDataset(features, ds.labels)
+        expect = float(np.mean(ds.labels[val_idx] != ds.labels[first]))
+        assert expect != float(np.mean(ds.labels[val_idx] != ds.labels[second]))
+        score, reference = make_fitness(ds, config), masked_fitness(ds, config)
+        for density in (0.0005, 0.01, 0.3, 1.0):
+            for _ in range(10):
+                bits = (rng.random(2000) < density).astype(np.int8)
+                bits[rng.integers(2000)] = 1
+                assert score(bits) == reference(bits) == expect
+
+    def test_bits_of_any_integer_or_bool_type(self):
+        ds = self.colon()
+        score = make_fitness(ds, FitnessConfig(seed=4))
+        bits = (np.random.default_rng(6).random(2000) < 0.3).astype(np.int8)
+        value = score(bits)
+        for same in (bits.tolist(), bits.astype(np.int64), bits.astype(np.bool_)):
+            assert score(same) == value
+
+    def test_peak_is_near_one_gene_major_copy_and_one_block(self):
+        """Building the closure and scoring the all-genes mask holds the
+        gene-major copy and one gathered block of the same size, beside the
+        caller's training matrix."""
+        ds = self.colon()
+        bits = np.ones(2000, dtype=np.int8)
+        tracemalloc.start()
+        try:
+            make_fitness(ds, FitnessConfig(seed=4))(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * ds.features.nbytes, peak / ds.features.nbytes
 
 
 class TestRunBhho:
