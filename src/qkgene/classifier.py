@@ -34,7 +34,8 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
 
     Raises ConvergenceError (carrying the residual KKT violation) if the
     update budget of max_passes * n runs out; the default budget is 10 * n
-    passes.
+    passes. Its message names svm.max_passes and svm.tol, the config keys
+    that set max_passes and tol.
     """
     K = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -79,8 +80,8 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
             break
         if updates >= budget:
             raise ConvergenceError(
-                f"SMO used its budget of {budget} updates "
-                f"(KKT violation {m_val - M_val:.3e} > tol {tol})",
+                f"SMO used its budget of {budget} updates, svm.max_passes times {n} rows, "
+                f"with KKT violation {m_val - M_val:.3e} > svm.tol {tol}",
                 kkt_violation=float(m_val - M_val),
             )
 

@@ -2,9 +2,11 @@
 
 Every ratio with a zero denominator is reported as 0.0 together with a
 `<name>_degenerate` flag instead of raising, so downstream JSON artifacts
-stay complete on pathological predictions. AUC uses the rank (Mann-Whitney)
-form with ties counted one half, which the trapezoid of the exported ROC
-curve reproduces exactly.
+stay complete on pathological predictions. roc_auc counts each class at
+each distinct score, sums the counts from the top score down into every
+curve row's integer (fp, tp), and takes the AUC as the trapezoid under that
+curve (the Mann-Whitney U, ties counted one half) in integers, divided
+once. Non-finite scores raise DataError.
 """
 from __future__ import annotations
 
@@ -65,65 +67,39 @@ def scores_from_confusion(cm: ConfusionMatrix) -> dict:
     if cm.total == 0:
         raise DataError("confusion matrix is empty")
     out: dict = {"accuracy": (cm.tp + cm.tn) / cm.total}
-    precision, p_deg = _ratio(cm.tp, cm.tp + cm.fp)
-    recall, r_deg = _ratio(cm.tp, cm.tp + cm.fn)
-    specificity, s_deg = _ratio(cm.tn, cm.tn + cm.fp)
-    fpr, fpr_deg = _ratio(cm.fp, cm.fp + cm.tn)
-    f1, f1_deg = _ratio(2.0 * precision * recall, precision + recall)
-    out.update(
-        precision=precision,
-        precision_degenerate=p_deg,
-        recall=recall,
-        recall_degenerate=r_deg,
-        specificity=specificity,
-        specificity_degenerate=s_deg,
-        fpr=fpr,
-        fpr_degenerate=fpr_deg,
-        f1=f1,
-        f1_degenerate=f1_deg,
-    )
+    for name, num, den in (("precision", cm.tp, cm.tp + cm.fp),
+                           ("recall", cm.tp, cm.tp + cm.fn),
+                           ("specificity", cm.tn, cm.tn + cm.fp),
+                           ("fpr", cm.fp, cm.fp + cm.tn)):
+        out[name], out[f"{name}_degenerate"] = _ratio(num, den)
+    precision, recall = out["precision"], out["recall"]
+    out["f1"], out["f1_degenerate"] = _ratio(2.0 * precision * recall, precision + recall)
     return out
-
-
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank (a half-integer)."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 def roc_auc(y_true, scores) -> tuple[float, list[tuple[float, float, float]]]:
     """(auc, curve) where curve rows are (threshold, fpr, tpr).
 
     A sample is predicted positive when its score >= threshold. The curve
-    starts at threshold +inf (0, 0) and ends at the minimum score (1, 1),
-    sorted by descending threshold.
+    runs by descending threshold from +inf at (0, 0) to the minimum score at (1, 1).
     """
     y_true = _check_labels(y_true, "y_true")
     scores = np.asarray(scores, dtype=np.float64)
     if y_true.shape != scores.shape:
         raise DataError("y_true and scores lengths differ")
-    n_pos = int(np.sum(y_true == 1))
-    n_neg = int(np.sum(y_true == -1))
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite")
+    positive = y_true == 1
+    n_pos, n_neg = int(np.count_nonzero(positive)), int(np.count_nonzero(~positive))
     if n_pos == 0 or n_neg == 0:
         raise DataError("roc_auc needs both classes present")
-
-    ranks = _average_ranks(scores)
-    rank_sum_pos = float(np.sum(ranks[y_true == 1]))
-    auc = (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-    curve = [(float("inf"), 0.0, 0.0)]
-    tp = fp = 0
-    for threshold in np.unique(scores)[::-1]:
-        at = scores == threshold
-        tp += int(np.sum(at & (y_true == 1)))
-        fp += int(np.sum(at & (y_true == -1)))
-        curve.append((float(threshold), fp / n_neg, tp / n_pos))
-    return auc, curve
+    # not return_inverse: its argsort may keep -0.0 where the sort keeps 0.0
+    thresholds = np.unique(scores)
+    group = np.searchsorted(thresholds, scores)
+    pos = np.bincount(group[positive], minlength=thresholds.size)[::-1]
+    neg = np.bincount(group[~positive], minlength=thresholds.size)[::-1]
+    tp, fp = np.cumsum(pos), np.cumsum(neg)
+    # trapezoid sum(dfp * (tp_prev + tp)) / 2, with tp_prev + tp = 2 tp - pos
+    auc = int(neg @ (2 * tp - pos)) / (2 * n_pos * n_neg)
+    rows = zip(thresholds[::-1].tolist(), fp.tolist(), tp.tolist())
+    return auc, [(float("inf"), 0.0, 0.0)] + [(t, f / n_neg, p / n_pos) for t, f, p in rows]

@@ -5,6 +5,8 @@ of its k nearest same-class neighbours x_nn (Euclidean, ties broken toward
 the lower index), and delta drawn uniformly from [0, 1]. Originals are kept
 verbatim as a prefix of the output; synthetic rows are appended per class
 in ascending label order. Apply this to the training partition only.
+Errors about the data name the config keys that set SmoteConfig: smote.k
+for k_neighbors and smote.targets.<class> for target_counts.
 """
 from __future__ import annotations
 
@@ -47,11 +49,12 @@ def smote_oversample(ds: LabeledDataset, cfg: SmoteConfig) -> LabeledDataset:
         targets = dict(cfg.target_counts)
         for cls in targets:
             if cls not in counts:
-                raise DataError(f"target class {cls} not present in data")
+                raise DataError(f"smote.targets.{cls}={targets[cls]}: class {cls} "
+                                "is not in the data")
     for cls, target in targets.items():
         if target < counts[cls]:
             raise DataError(
-                f"target {target} for class {cls} is below its current count {counts[cls]}"
+                f"smote.targets.{cls}={target} is below class {cls}'s current count {counts[cls]}"
             )
 
     rng = np.random.default_rng(cfg.seed)
@@ -65,9 +68,8 @@ def smote_oversample(ds: LabeledDataset, cfg: SmoteConfig) -> LabeledDataset:
         if len(members) < 2:
             raise DataError(f"class {cls} needs at least 2 samples to oversample")
         if cfg.k_neighbors > len(members) - 1:
-            raise DataError(
-                f"k_neighbors={cfg.k_neighbors} exceeds class {cls} size minus one"
-            )
+            raise DataError(f"smote.k={cfg.k_neighbors} exceeds the {len(members) - 1} "
+                            f"other rows in class {cls}")
         points = ds.features[members]
         neighbours = _neighbour_table(points, cfg.k_neighbors)
         for _ in range(need):

@@ -19,7 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from qkgene.data_io import SplitSpec, split_indices
-from qkgene.errors import ConfigError
+from qkgene.errors import ConfigError, DataError
+from qkgene.metrics import _check_labels
 from qkgene.quantum import _shot_estimate, cross_kernel_matrix
 
 RSQRT2 = 1.0 / np.sqrt(2.0)
@@ -423,6 +424,47 @@ def trapezoid_auc(curve) -> float:
     tpr = np.array([point[2] for point in curve])
     order = np.argsort(fpr, kind="stable")
     return float(np.trapezoid(tpr[order], fpr[order]))
+
+
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their average rank (a half-integer)."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def rank_roc_auc(y_true, scores) -> tuple[float, list[tuple[float, float, float]]]:
+    """(auc, curve) by average ranks and one recount per threshold: the
+    library's former roc_auc, kept verbatim as the reference for its curve
+    and its AUC's bits."""
+    y_true = _check_labels(y_true, "y_true")
+    scores = np.asarray(scores, dtype=np.float64)
+    if y_true.shape != scores.shape:
+        raise DataError("y_true and scores lengths differ")
+    n_pos = int(np.sum(y_true == 1))
+    n_neg = int(np.sum(y_true == -1))
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("roc_auc needs both classes present")
+
+    ranks = _average_ranks(scores)
+    rank_sum_pos = float(np.sum(ranks[y_true == 1]))
+    auc = (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+    curve = [(float("inf"), 0.0, 0.0)]
+    tp = fp = 0
+    for threshold in np.unique(scores)[::-1]:
+        at = scores == threshold
+        tp += int(np.sum(at & (y_true == 1)))
+        fp += int(np.sum(at & (y_true == -1)))
+        curve.append((float(threshold), fp / n_neg, tp / n_pos))
+    return auc, curve
 
 
 def hand_scores(tp: int, tn: int, fp: int, fn: int) -> dict[str, float]:

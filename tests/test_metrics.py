@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from qkgene.errors import DataError
 from qkgene.metrics import ConfusionMatrix, confusion, roc_auc, scores_from_confusion
 
-from oracles import all_pairs_auc, hand_scores, trapezoid_auc
+from oracles import all_pairs_auc, hand_scores, rank_roc_auc, trapezoid_auc
 
 
 class TestConfusion:
@@ -84,6 +84,15 @@ class TestScores:
         for key, value in expect.items():
             assert out[key] == pytest.approx(value, abs=1e-15)
 
+    def test_keys_keep_their_order(self):
+        out = scores_from_confusion(ConfusionMatrix(tp=2, tn=0, fp=0, fn=1))
+        assert list(out) == [
+            "accuracy", "precision", "precision_degenerate", "recall", "recall_degenerate",
+            "specificity", "specificity_degenerate", "fpr", "fpr_degenerate",
+            "f1", "f1_degenerate",
+        ]
+        assert out["specificity_degenerate"] is True and out["fpr_degenerate"] is True
+
 
 class TestAuc:
     def test_perfect_ranking(self):
@@ -158,3 +167,31 @@ class TestAuc:
         auc, _curve = roc_auc(y, s)
         assert 0.0 <= auc <= 1.0
         assert auc == pytest.approx(all_pairs_auc(s, y), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN used to head the curve, which then ended at fpr 0.5, not (1, 1)
+        with pytest.raises(DataError, match="^scores must be finite$"):
+            roc_auc(np.array([1, -1, 1, -1]), np.array([0.5, bad, 0.2, -0.1]))
+
+    def test_bits_match_the_rank_reference(self):
+        """AUC and curve are repr-equal to the average-rank formulation on
+        10,000 label/score vectors of 2 to 200 rows: continuous scores,
+        heavy ties, rounded scores, signed zeros and one distinct score."""
+        rng = np.random.default_rng(2022)
+        for case in range(10_000):
+            n = int(rng.integers(2, 201))
+            y = rng.choice([1, -1], size=n)
+            y[rng.choice(n, size=2, replace=False)] = [1, -1]
+            kind = case % 5
+            if kind == 0:
+                s = rng.normal(size=n)
+            elif kind == 1:
+                s = rng.integers(-3, 4, size=n).astype(float)
+            elif kind == 2:
+                s = np.round(rng.normal(size=n), 1)
+            elif kind == 3:
+                s = rng.choice([-0.0, 0.0, 1.5, -2.0], size=n)
+            else:
+                s = np.full(n, rng.choice([-0.0, 0.0, 0.3]))
+            assert repr(roc_auc(y, s)) == repr(rank_roc_auc(y, s)), (y.tolist(), s.tolist())

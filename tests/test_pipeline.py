@@ -427,6 +427,26 @@ class TestCli:
         assert "pca.k" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("settings, code, line", [
+        (["smote.k=40"], 2, "data error: smote.k=40 exceeds the 8 other rows in class -1"),
+        (["smote.targets.1=2"], 2,
+         "data error: smote.targets.1=2 is below class 1's current count 21"),
+        (["smote.targets.7=10"], 2, "data error: smote.targets.7=10: class 7 is not in the data"),
+        (["svm.max_passes=1", "svm.tol=1e-9", "svm.c=100"], 3,
+         "numerical failure: SMO used its budget of 42 updates, svm.max_passes times 42 rows, "
+         "with KKT violation 3.345e+00 > svm.tol 1e-09"),
+    ], ids=["smote.k", "smote.targets-below-count", "smote.targets-absent-class", "svm-budget"])
+    def test_stage_errors_name_their_keys(self, tmp_path, capsys, settings, code, line):
+        """Errors that only the data can raise still name the keys to change."""
+        ds = planted_dataset(40, 8, 2, shift=3.0, seed=0, positive_fraction=0.7)
+        csv_path = dataset_to_csv(ds, tmp_path / "planted.csv")
+        overrides = [arg for item in settings for arg in ("--set", item)]
+        assert self.run_cli(
+            "run-all", "--data", str(csv_path), "--out", str(tmp_path / "out"),
+            "--no-selection", "--set", "pca.k=2", "--set", "data.positive_label=1", *overrides,
+        ) == code
+        assert capsys.readouterr().err == line + "\n"
+
     def test_bad_set_syntax(self, capsys):
         code = self.run_cli("run-all", "--set", "notakeyvalue")
         assert code == 1
