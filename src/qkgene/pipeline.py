@@ -309,11 +309,9 @@ def _kernels(cfg: PipelineConfig, prep: PreparedData, kind: str | None = None):
     if k < 2 and kind != "z":
         raise ConfigError(f"the {kind} map needs pca.k of at least 2 (effective pca.k here: {k})")
     spec = quantum.FeatureMapSpec(n_qubits=k, kind=kind, reps=cfg.qk_reps)
-    shots = quantum.ShotConfig(cfg.qk_shots, cfg.qk_seed)
-    k_train = quantum.kernel_matrix(prep.train.features, spec,
-                                    mode=cfg.qk_mode, shot_config=shots)
-    k_cross = quantum.cross_kernel_matrix(prep.test.features, prep.train.features,
-                                          spec, mode=cfg.qk_mode, shot_config=shots)
+    shots = quantum.ShotConfig(cfg.qk_shots, cfg.qk_seed) if cfg.qk_mode == "sampled" else None
+    k_train = quantum.kernel_matrix(prep.train.features, spec, shots)
+    k_cross = quantum.cross_kernel_matrix(prep.test.features, prep.train.features, spec, shots)
     return k_train, k_cross
 
 
@@ -466,11 +464,10 @@ def run(cfg: PipelineConfig, stage: str, use_selection: bool = True,
 
 
 def _write_artifacts(cfg: PipelineConfig, res: RunResult) -> None:
-    """The one out-dir rule: clear what this stage will not write, then write.
-
-    Whatever the stage, metrics.json is deleted before the first write, so it
-    marks a complete evaluate run, and every file in the out dir is from one run.
-    """
+    """The one out-dir rule: delete every name in ARTIFACTS, then write this
+    stage's files in STAGE_ARTIFACTS order, metrics.json last, so no out dir
+    mixes two runs, even after a failed write. The cost: a rerun that fails
+    while writing also loses the previous run's files."""
     prep, hash_text = res.prep, config_hash(cfg)
     writers = {
         "mask.csv": lambda: _write_mask(cfg, hash_text, prep.mask, prep.gene_names),
@@ -484,10 +481,8 @@ def _write_artifacts(cfg: PipelineConfig, res: RunResult) -> None:
         "compare.csv": lambda: _write_compare(cfg, hash_text, res.rows, prep.input_hash),
         "metrics.json": lambda: _write_metrics(cfg, res.metrics),
     }
-    names = [name for name in STAGE_ARTIFACTS[res.stage]
-             if prep.mask is not None or name not in ("mask.csv", "convergence.csv")]
     for name in ARTIFACTS:
-        if name == "metrics.json" or name not in names:
-            _remove(_out_path(cfg, name))
-    for name in names:
-        writers[name]()
+        _remove(_out_path(cfg, name))
+    for name in STAGE_ARTIFACTS[res.stage]:
+        if prep.mask is not None or name not in ("mask.csv", "convergence.csv"):
+            writers[name]()

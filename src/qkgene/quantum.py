@@ -20,15 +20,16 @@ diagonal.
 
 Kernel values are state fidelities K(x, z) = |<phi(z)|phi(x)>|^2, the
 all-zeros probability of the compute-uncompute circuit U(z)^dagger U(x).
-Both modes embed each row once per kernel call and take every overlap from
-its statevector. Exact mode returns them; sampled mode replaces each one by
-the hit rate of a finite shot budget, drawn from a generator seeded by
-(seed, i, j). Overlaps are taken one block of right-hand states at a time
-(about 1 MiB, at least 8 rows), each bit-equal to one product over all
-states. The training kernel keeps every row's state, rows x 2^n x 16 bytes,
-plus one conjugated block, and computes only the blocks on or above the
-diagonal. The cross kernel keeps the left rows' states and embeds the right
-rows one block at a time, so it never holds both sides.
+A kernel call embeds each row once and takes every overlap from its
+statevector. Without a shot budget (shots=None, exact mode) it returns them;
+given a ShotConfig (sampled mode) it replaces each one by the hit rate of
+that many shots, drawn from a generator seeded by (seed, i, j). Overlaps are
+taken one block of right-hand states at a time (about 1 MiB, at least 8
+rows), each bit-equal to one product over all states. The training kernel
+keeps every row's state, rows x 2^n x 16 bytes, plus one conjugated block,
+and computes only the blocks on or above the diagonal. The cross kernel
+keeps the left rows' states and embeds the right rows one block at a time,
+so it never holds both sides.
 """
 from __future__ import annotations
 
@@ -310,29 +311,21 @@ def _fidelities(left: np.ndarray, conj_block: np.ndarray, out: np.ndarray) -> No
     np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0, out=out)
 
 
-def _check_mode(mode: str, shot_config: ShotConfig | None) -> None:
-    if mode not in ("exact", "sampled"):
-        raise ConfigError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if mode == "sampled" and shot_config is None:
-        raise ConfigError("sampled mode needs a ShotConfig")
-
-
-def _draw_shots(K: np.ndarray, shot_config: ShotConfig, square: bool) -> None:
+def _draw_shots(K: np.ndarray, shots: ShotConfig, square: bool) -> None:
     """Replace each fidelity K[i, j], in place, by its shot estimate, drawn
     from a generator seeded by (seed, i, j), so the result does not depend
     on evaluation order. A square kernel draws i <= j and mirrors them."""
     for i in range(K.shape[0]):
         for j in range(i if square else 0, K.shape[1]):
-            rng = np.random.default_rng((shot_config.seed, i, j))
-            K[i, j] = _shot_estimate(K[i, j], shot_config.shots, rng)
+            rng = np.random.default_rng((shots.seed, i, j))
+            K[i, j] = _shot_estimate(K[i, j], shots.shots, rng)
             if square:
                 K[j, i] = K[i, j]
 
 
-def kernel_matrix(X, spec: FeatureMapSpec, mode: str = "exact",
-                  shot_config: ShotConfig | None = None) -> np.ndarray:
-    """Square fidelity kernel over the rows of X, one cached state per row."""
-    _check_mode(mode, shot_config)
+def kernel_matrix(X, spec: FeatureMapSpec, shots: ShotConfig | None = None) -> np.ndarray:
+    """Square fidelity kernel over the rows of X, one cached state per row:
+    exact fidelities when shots is None, else their shot estimates."""
     X = np.asarray(X, dtype=np.float64)
     states = _embedding_matrix(X, spec)
     K = np.empty((len(states), len(states)))
@@ -342,18 +335,18 @@ def kernel_matrix(X, spec: FeatureMapSpec, mode: str = "exact",
     for start, stop in _blocks(len(states), spec.n_qubits):
         _fidelities(states[:stop], states[start:stop].conj(), K[:stop, start:stop])
     mirror_upper(K)
-    if mode == "sampled":
-        _draw_shots(K, shot_config, square=True)
+    if shots is not None:
+        _draw_shots(K, shots, square=True)
     return K
 
 
-def cross_kernel_matrix(X_left, X_right, spec: FeatureMapSpec, mode: str = "exact",
-                        shot_config: ShotConfig | None = None) -> np.ndarray:
-    """Rectangular fidelity kernel K[i, j] = k(X_left[i], X_right[j]).
+def cross_kernel_matrix(X_left, X_right, spec: FeatureMapSpec,
+                        shots: ShotConfig | None = None) -> np.ndarray:
+    """Rectangular fidelity kernel K[i, j] = k(X_left[i], X_right[j]): exact
+    when shots is None, else shot estimates, as in kernel_matrix.
 
     The left rows' states are embedded once and kept; the right rows are
     embedded one block at a time, so the two sides are never held at once."""
-    _check_mode(mode, shot_config)
     X_left = np.asarray(X_left, dtype=np.float64)
     X_right = np.asarray(X_right, dtype=np.float64)
     left = _embedding_matrix(X_left, spec)
@@ -362,6 +355,6 @@ def cross_kernel_matrix(X_left, X_right, spec: FeatureMapSpec, mode: str = "exac
         block = _embedding_matrix(X_right[start:stop], spec)
         _fidelities(left, np.conjugate(block, out=block), K[:, start:stop])
         del block  # freed before the next block is embedded
-    if mode == "sampled":
-        _draw_shots(K, shot_config, square=False)
+    if shots is not None:
+        _draw_shots(K, shots, square=False)
     return K

@@ -5,8 +5,8 @@ of its k nearest same-class neighbours x_nn (Euclidean, ties broken toward
 the lower index), and delta drawn uniformly from [0, 1]. Originals are kept
 verbatim as a prefix of the output; synthetic rows are appended per class
 in ascending label order. Apply this to the training partition only.
-Errors about the data name the config keys that set SmoteConfig: smote.k
-for k_neighbors and smote.targets.<class> for target_counts.
+Errors about the data name the config keys that would mend them: smote.k,
+smote.targets.<class>, or smote.enabled and split.test_fraction.
 """
 from __future__ import annotations
 
@@ -66,7 +66,8 @@ def smote_oversample(ds: LabeledDataset, cfg: SmoteConfig) -> LabeledDataset:
             continue
         members = np.flatnonzero(ds.labels == cls)
         if len(members) < 2:
-            raise DataError(f"class {cls} needs at least 2 samples to oversample")
+            raise DataError(f"class {cls} has 1 training row and oversampling needs 2: "
+                            "set smote.enabled=false or lower split.test_fraction")
         if cfg.k_neighbors > len(members) - 1:
             raise DataError(f"smote.k={cfg.k_neighbors} exceeds the {len(members) - 1} "
                             f"other rows in class {cls}")

@@ -2,8 +2,8 @@
 
 The writers must reproduce, byte for byte, what csv.writer with repr-rendered
 floats produced (tests/oracles.py keeps that rendering as the reference), and
-a run must never leave a temp file, a stale selection artifact or a
-metrics.json from an unfinished run in its out dir.
+a run must never leave a temp file, a stale selection artifact, a file of
+another config or a metrics.json from an unfinished run in its out dir.
 """
 import itertools
 import json
@@ -123,10 +123,9 @@ def rbf_450() -> np.ndarray:
     return rbf_kernel_matrix(np.random.default_rng(5).normal(size=(450, 8)), gamma=0.125)
 
 
-def quantum_kernel(mode: str) -> np.ndarray:
+def quantum_kernel(shots: ShotConfig | None) -> np.ndarray:
     X = np.random.default_rng(6).uniform(0, np.pi, size=(12, 3))
-    shots = ShotConfig(64, 9) if mode == "sampled" else None
-    return kernel_matrix(X, FeatureMapSpec(3, "zz", reps=2), mode, shots)
+    return kernel_matrix(X, FeatureMapSpec(3, "zz", reps=2), shots)
 
 
 ULP_PAIR = np.array([[1.0, 0.3], [np.nextafter(0.3, 1.0), 1.0]])
@@ -139,8 +138,8 @@ class TestLongFormatLines:
         lambda: np.array([[0.1 + 0.2]]),
         lambda: np.array([[1.0, 1 / 3], [1 / 3, 1.0]]),
         rbf_450,
-        lambda: quantum_kernel("exact"),
-        lambda: quantum_kernel("sampled"),
+        lambda: quantum_kernel(None),
+        lambda: quantum_kernel(ShotConfig(64, 9)),
         lambda: np.array([[1.0, np.nan], [np.nan, 1.0]]),
         lambda: np.array([[np.inf, -np.inf, 5e-324], [-np.inf, -0.0, 1e300],
                           [5e-324, 1e300, np.nan]]),
@@ -336,11 +335,16 @@ class TestOutDirConsistency:
                                 ["index", "alpha", "label", "support"], failing_rows())
 
         monkeypatch.setattr(pipeline, "_write_model", failing_write_model)
+        cfg2 = cfg_for(tmp_path, seed=12)
         with pytest.raises(OSError, match="disk full"):
-            run(cfg, "evaluate", use_selection=False, ds=ds)
-        names = os.listdir(out)
-        assert "metrics.json" not in names
-        assert not [n for n in names if ".tmp" in n], names
+            run(cfg2, "evaluate", use_selection=False, ds=ds)
+        # every artifact went before the first write: what is left is the
+        # second config's, written in order up to the failed model.csv
+        names = sorted(os.listdir(out))
+        for name in names:
+            first = read_text(out / name).split("\n", 1)[0]
+            assert first == f"# config_hash={config_hash(cfg2)}", name
+        assert names == ["kernel_cross.csv", "kernel_train.csv", "pca_model.csv"]
 
     @pytest.mark.parametrize("command, expected", [
         ("select", ["convergence.csv", "mask.csv"]),

@@ -223,6 +223,18 @@ class TestCliConfigErrors:
         code, _out, err = run_cli(argv)
         assert (code, err) == (2, f"data error: {message}\n")
 
+    def test_one_training_row_to_oversample_names_smote_and_split_keys(self, tmp_path):
+        """Three -1 rows of ten, and a 0.6 test split leaves one of them to train on."""
+        rows = [f"{i * 0.37 % 1:.3f},{i * 0.61 % 1:.3f},{1 if i < 7 else -1}" for i in range(10)]
+        csv_path = tmp_path / "ten.csv"
+        csv_path.write_text("\n".join(["g0,g1,label", *rows]) + "\n")
+        code, _out, err = run_cli(["run-all", "--data", str(csv_path), "--out",
+                                   str(tmp_path / "out"), "--no-selection", "--set", "pca.k=2",
+                                   "--set", "split.test_fraction=0.6"])
+        assert code == 2
+        assert err.startswith("data error: class -1 ") and err.count("\n") == 1, err
+        assert "smote.enabled" in err and "split.test_fraction" in err, err
+
     def test_effective_pca_k_above_qubit_limit_names_pca_k(self, tmp_path):
         csv_path = write_csv(tmp_path / "wide.csv", 48, 26)
         code, _out, err = run_cli(["kernel", "--data", csv_path, "--out", str(tmp_path / "out"),

@@ -582,14 +582,9 @@ class TestKernelMatrices:
     def test_sampled_mode_symmetric_and_quantized(self):
         rng = np.random.default_rng(12)
         X = rng.uniform(0, math.pi, size=(4, 2))
-        K = kernel_matrix(X, FeatureMapSpec(2, "zz", reps=1), mode="sampled",
-                          shot_config=ShotConfig(shots=50, seed=3))
+        K = kernel_matrix(X, FeatureMapSpec(2, "zz", reps=1), ShotConfig(shots=50, seed=3))
         assert np.array_equal(K, K.T)
         np.testing.assert_allclose(K * 50, np.round(K * 50), atol=1e-12)
-
-    def test_sampled_mode_requires_config(self):
-        with pytest.raises(ConfigError):
-            kernel_matrix(np.zeros((2, 2)), FeatureMapSpec(2, "zz"), mode="sampled")
 
     def test_shot_config_rejects_non_integer_shots(self):
         with pytest.raises(ConfigError, match=r"^shots must be an integer, got 2\.5$"):
@@ -769,11 +764,11 @@ class TestKernelMatrices:
             monkeypatch.setattr(quantum, "run_circuit", traced_run_circuit)
             rng = np.random.default_rng(15)
             spec = FeatureMapSpec(n, "zz", reps=2 if n == 3 else 3)
-            shots = ShotConfig(shots=10, seed=4)
+            shots = ShotConfig(shots=10, seed=4) if mode == "sampled" else None
             train = rng.uniform(0, math.pi, size=(5, n))
             test = rng.uniform(0, math.pi, size=(2, n))
-            kernel_matrix(train, spec, mode=mode, shot_config=shots)
-            cross_kernel_matrix(test, train, spec, mode=mode, shot_config=shots)
+            kernel_matrix(train, spec, shots)
+            cross_kernel_matrix(test, train, spec, shots)
             monkeypatch.undo()
             rows = [*train, *test, *train]
             assert len(built) == len(calls) == 2 * len(train) + len(test)
@@ -806,9 +801,8 @@ class TestSampledMatchesCircuit:
         for shots in (1, 7, 100, 1000):
             for seed in (0, 7, 10598):
                 config = ShotConfig(shots=shots, seed=seed)
-                square = kernel_matrix(train, spec, mode="sampled", shot_config=config)
-                cross = cross_kernel_matrix(test, train, spec, mode="sampled",
-                                            shot_config=config)
+                square = kernel_matrix(train, spec, config)
+                cross = cross_kernel_matrix(test, train, spec, config)
                 assert square.tobytes() == sampled_kernel_circuit(
                     train, None, spec, shots, seed).tobytes(), (shots, seed)
                 assert cross.tobytes() == sampled_kernel_circuit(
