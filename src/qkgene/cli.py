@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -29,6 +30,10 @@ _SUMMARIES = {
     "kernel": lambda r: f"kernel matrices {r.k_train.shape} and {r.k_cross.shape}",
     "train": lambda r: f"trained model with {len(r.model.support_indices)} support vectors",
 }
+
+# module that ran out of memory -> how to shrink its largest arrays
+_MEMORY_HINTS = {"qkgene.optimizer": "; lower hho.n to shrink the hawk population",
+                 "qkgene.quantum": "; lower pca.k to halve the quantum states per step"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,9 +112,11 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:  # each qubit, that is each unit of pca.k, doubles every state
-        print(f"numerical failure: out of memory ({exc or 'allocation failed'}); "
-              "lower pca.k to halve the quantum states per step", file=sys.stderr)
+    except MemoryError as exc:  # the innermost stage module in the traceback names the key
+        names = [f.f_globals.get("__name__") for f, _ in traceback.walk_tb(exc.__traceback__)]
+        hint = next((_MEMORY_HINTS[n] for n in reversed(names) if n in _MEMORY_HINTS), "")
+        print(f"numerical failure: out of memory ({exc or 'allocation failed'}){hint}",
+              file=sys.stderr)
         return 3
     except OSError as exc:  # reading inputs raises the errors above, so this is a write
         print(f"config error: cannot write to out.dir: {exc}", file=sys.stderr)

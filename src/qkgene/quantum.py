@@ -20,16 +20,16 @@ diagonal.
 
 Kernel values are state fidelities K(x, z) = |<phi(z)|phi(x)>|^2, the
 all-zeros probability of the compute-uncompute circuit U(z)^dagger U(x).
-A kernel call embeds each row once and takes every overlap from its
-statevector. Without a shot budget (shots=None, exact mode) it returns them;
-given a ShotConfig (sampled mode) it replaces each one by the hit rate of
-that many shots, drawn from a generator seeded by (seed, i, j). Overlaps are
-taken one block of right-hand states at a time (about 1 MiB, at least 8
-rows), each bit-equal to one product over all states. The training kernel
-keeps every row's state, rows x 2^n x 16 bytes, plus one conjugated block,
-and computes only the blocks on or above the diagonal. The cross kernel
-keeps the left rows' states and embeds the right rows one block at a time,
-so it never holds both sides.
+Both kernels are one routine, _kernel: it embeds each row once and takes
+the overlaps from the statevectors, one block of right-hand states at a
+time (about 1 MiB, at least 8 rows), each entry bit-equal to one product
+over all states. It keeps the left rows' states, rows x 2^n x 16 bytes,
+plus one conjugated block. The training kernel computes only the blocks on
+or above the diagonal; the cross kernel embeds its right rows one block at
+a time, so it never holds both sides. Without a shot budget (shots=None,
+exact mode) the kernels are the fidelities; given a ShotConfig (sampled
+mode) each entry is the hit rate of that many shots, drawn from a
+generator seeded by (seed, i, j), and a square kernel draws only i < j.
 """
 from __future__ import annotations
 
@@ -274,18 +274,6 @@ class ShotConfig:
             raise ConfigError(f"shots must be in 1..{MAX_SHOTS}")
 
 
-def _shot_estimate(p0: float, shots: int, rng: np.random.Generator) -> float:
-    """Hit rate of measuring the all-zeros outcome, of probability p0, in shots.
-
-    One uniform draw per shot: the all-zeros outcome owns the leading
-    interval of the cumulative distribution, so u < p0 is inverse-CDF
-    measurement of the full register restricted to the statistic we need.
-    Estimates are exact multiples of 1/shots.
-    """
-    hits = int(np.sum(rng.random(shots) < p0))
-    return hits / shots
-
-
 def _blocks(rows: int, n_qubits: int):
     """(start, stop) of each block of rows whose states an overlap product
     holds at once: _CONJ_BLOCK_BYTES worth of n-qubit states, rounded down to
@@ -304,57 +292,52 @@ def _blocks(rows: int, n_qubits: int):
     return zip(starts, starts[1:] + [rows])
 
 
-def _fidelities(left: np.ndarray, conj_block: np.ndarray, out: np.ndarray) -> None:
-    """out[i, j] = |<block[j]|left[i]>|^2, clipped to [0, 1], from the
-    block's conjugated states."""
-    overlap = left @ conj_block.T
-    np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0, out=out)
-
-
 def _draw_shots(K: np.ndarray, shots: ShotConfig, square: bool) -> None:
-    """Replace each fidelity K[i, j], in place, by its shot estimate, drawn
-    from a generator seeded by (seed, i, j), so the result does not depend
-    on evaluation order. A square kernel draws i <= j and mirrors them."""
+    """Replace each fidelity K[i, j], in place, by the hit rate of the
+    all-zeros outcome in shots.shots draws from a generator seeded by
+    (seed, i, j), so the result does not depend on evaluation order. A shot
+    hits when its uniform u < K[i, j]: inverse-CDF measurement of the full
+    register restricted to that outcome. A square kernel draws only i < j;
+    mirror_upper copies them and sets the diagonal, where every shot hits, to 1."""
     for i in range(K.shape[0]):
-        for j in range(i if square else 0, K.shape[1]):
-            rng = np.random.default_rng((shots.seed, i, j))
-            K[i, j] = _shot_estimate(K[i, j], shots.shots, rng)
-            if square:
-                K[j, i] = K[i, j]
+        for j in range(i + 1 if square else 0, K.shape[1]):
+            draws = np.random.default_rng((shots.seed, i, j)).random(shots.shots)
+            K[i, j] = int(np.sum(draws < K[i, j])) / shots.shots
+
+
+def _kernel(X_left, X_right, spec: FeatureMapSpec, shots: ShotConfig | None) -> np.ndarray:
+    """K[i, j] = |<phi(right[j])|phi(left[i])>|^2, clipped to [0, 1], or its
+    shot estimate; square over X_left when X_right is None. Each block of
+    right rows, a copy of kept states or those rows embedded here, is
+    conjugated in place and freed, after its overlap, before the next. A
+    square block's left rows end at its end, a block boundary or the last
+    row, so BLAS groups them as in one product over all rows."""
+    square = X_right is None
+    X_left = np.asarray(X_left, dtype=np.float64)
+    X_right = X_left if square else np.asarray(X_right, dtype=np.float64)
+    left = _embedding_matrix(X_left, spec)
+    K = np.empty((len(X_left), len(X_right)))
+    for start, stop in _blocks(len(X_right), spec.n_qubits):
+        block = left[start:stop].copy() if square else _embedding_matrix(X_right[start:stop], spec)
+        overlap = left[:stop if square else None] @ np.conjugate(block, out=block).T
+        np.clip(overlap.real**2 + overlap.imag**2, 0.0, 1.0, out=K[:len(overlap), start:stop])
+        del overlap, block  # freed before the next block is embedded
+    if shots is not None:
+        _draw_shots(K, shots, square)
+    return mirror_upper(K) if square else K
 
 
 def kernel_matrix(X, spec: FeatureMapSpec, shots: ShotConfig | None = None) -> np.ndarray:
     """Square fidelity kernel over the rows of X, one cached state per row:
-    exact fidelities when shots is None, else their shot estimates."""
-    X = np.asarray(X, dtype=np.float64)
-    states = _embedding_matrix(X, spec)
-    K = np.empty((len(states), len(states)))
-    # only the blocks on or above the diagonal, which mirror_upper reads.
-    # Each block's left rows end at a block boundary or at the last row, so
-    # BLAS groups them as it does in one product over all rows.
-    for start, stop in _blocks(len(states), spec.n_qubits):
-        _fidelities(states[:stop], states[start:stop].conj(), K[:stop, start:stop])
-    mirror_upper(K)
-    if shots is not None:
-        _draw_shots(K, shots, square=True)
-    return K
+    exact fidelities when shots is None, else their shot estimates for
+    i < j, mirrored, with the diagonal exactly 1."""
+    return _kernel(X, None, spec, shots)
 
 
 def cross_kernel_matrix(X_left, X_right, spec: FeatureMapSpec,
                         shots: ShotConfig | None = None) -> np.ndarray:
     """Rectangular fidelity kernel K[i, j] = k(X_left[i], X_right[j]): exact
-    when shots is None, else shot estimates, as in kernel_matrix.
-
-    The left rows' states are embedded once and kept; the right rows are
-    embedded one block at a time, so the two sides are never held at once."""
-    X_left = np.asarray(X_left, dtype=np.float64)
-    X_right = np.asarray(X_right, dtype=np.float64)
-    left = _embedding_matrix(X_left, spec)
-    K = np.empty((len(X_left), len(X_right)))
-    for start, stop in _blocks(len(X_right), spec.n_qubits):
-        block = _embedding_matrix(X_right[start:stop], spec)
-        _fidelities(left, np.conjugate(block, out=block), K[:, start:stop])
-        del block  # freed before the next block is embedded
-    if shots is not None:
-        _draw_shots(K, shots, square=False)
-    return K
+    when shots is None, else shot estimates, as in kernel_matrix. The right
+    rows are embedded one block at a time, so the two sides are never held
+    at once."""
+    return _kernel(X_left, X_right, spec, shots)

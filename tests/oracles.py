@@ -21,7 +21,7 @@ import scipy.linalg
 from qkgene.data_io import SplitSpec, split_indices
 from qkgene.errors import ConfigError, DataError
 from qkgene.metrics import _check_labels
-from qkgene.quantum import _shot_estimate, cross_kernel_matrix
+from qkgene.quantum import cross_kernel_matrix
 
 RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -329,12 +329,13 @@ def exact_kernel_entry(x, z, spec) -> float:
 
 
 def sampled_kernel_entry(x, z, spec, shot_config, rng: np.random.Generator | None = None) -> float:
-    """The shot estimate of exact_kernel_entry(x, z, spec) by production's
-    estimator, from a generator seeded by shot_config.seed unless rng is
-    given."""
+    """The shot estimate of exact_kernel_entry(x, z, spec): the share of
+    shot_config.shots uniform draws below it, from a generator seeded by
+    shot_config.seed unless rng is given."""
     if rng is None:
         rng = np.random.default_rng(shot_config.seed)
-    return _shot_estimate(exact_kernel_entry(x, z, spec), shot_config.shots, rng)
+    p0 = exact_kernel_entry(x, z, spec)
+    return int(np.sum(rng.random(shot_config.shots) < p0)) / shot_config.shots
 
 
 def sampled_kernel_circuit(left, right, spec, shots: int, seed: int) -> np.ndarray:

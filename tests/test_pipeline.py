@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkgene import cli, pipeline, quantum
+from qkgene import cli, optimizer, pipeline, quantum, reduction
 from qkgene.data_io import LabeledDataset
 from qkgene.errors import ConfigError
 from qkgene.pipeline import (
@@ -426,6 +426,30 @@ class TestCli:
         assert err.startswith("numerical failure: out of memory (Unable to allocate 11.5 GiB")
         assert "pca.k" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("module, name, hint", [
+        (optimizer, "init_population", "; lower hho.n to shrink the hawk population"),
+        (reduction, "pca_fit", ""),
+    ], ids=["gene-search", "other-stage"])
+    def test_out_of_memory_names_the_key_of_its_stage(self, tmp_path, capsys, monkeypatch,
+                                                       module, name, hint):
+        """The out-of-memory line names the key that sizes the arrays of the
+        stage that ran out, hho.n for the hawk population (pca.k for the
+        quantum states is checked above), and no key for a stage that has
+        none."""
+        def no_memory(*_args):
+            raise MemoryError("Unable to allocate 1.46 TiB")
+
+        monkeypatch.setattr(module, name, no_memory)
+        csv_path = dataset_to_csv(blob_data(), tmp_path / "blobs.csv")
+        code = self.run_cli(
+            "run-all", "--data", str(csv_path), "--out", str(tmp_path / "out"),
+            "--set", "pca.k=2", "--set", "qk.map=z", "--set", "hho.n=4", "--set", "hho.t=2",
+            "--set", "data.positive_label=1",
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"numerical failure: out of memory (Unable to allocate 1.46 TiB){hint}\n"
 
     @pytest.mark.parametrize("settings, code, line", [
         (["smote.k=40"], 2, "data error: smote.k=40 exceeds the 8 other rows in class -1"),

@@ -586,6 +586,26 @@ class TestKernelMatrices:
         assert np.array_equal(K, K.T)
         np.testing.assert_allclose(K * 50, np.round(K * 50), atol=1e-12)
 
+    def test_sampled_kernels_seed_one_generator_per_drawn_entry(self, monkeypatch):
+        """A square sampled kernel draws only i < j, n(n-1)/2 generators, and
+        mirror_upper copies them and sets the diagonal to exactly 1; a cross
+        kernel draws every entry."""
+        seeds, original = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: seeds.append(seed) or original(seed))
+        rng = original(21)
+        spec = FeatureMapSpec(3, "zz", reps=2)
+        train = rng.uniform(0, math.pi, size=(7, 3))
+        test = rng.uniform(0, math.pi, size=(4, 3))
+        config = ShotConfig(shots=100, seed=5)
+        square = kernel_matrix(train, spec, config)
+        assert seeds == [(5, i, j) for i in range(7) for j in range(i + 1, 7)]
+        np.testing.assert_array_equal(np.diag(square), np.ones(7))
+        assert np.tril(square, -1).tobytes() == np.triu(square, 1).T.tobytes()
+        seeds.clear()
+        cross_kernel_matrix(test, train, spec, config)
+        assert seeds == [(5, i, j) for i in range(4) for j in range(7)]
+
     def test_shot_config_rejects_non_integer_shots(self):
         with pytest.raises(ConfigError, match=r"^shots must be an integer, got 2\.5$"):
             ShotConfig(shots=2.5)
