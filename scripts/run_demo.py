@@ -8,6 +8,7 @@ show what the gene search buys. Finishes in a few seconds on one CPU.
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -30,17 +31,17 @@ def main(argv=None) -> int:
     cfg = PipelineConfig(pca_k=4, hho_iters=50, seed=args.seed,
                          scale_hi=0.5, out_dir=args.out)
 
-    for use_selection in (True, False):
-        tag = "with selection" if use_selection else "no selection"
+    for selection in (True, False):
+        tag = "with selection" if selection else "no selection"
         start = time.monotonic()
-        payload = run(cfg, "evaluate", use_selection=use_selection, ds=ds).metrics
+        payload = run(replace(cfg, selection_enabled=selection), "evaluate", ds=ds).metrics
         elapsed = time.monotonic() - start
         print(f"[{tag}] accuracy={payload['accuracy']:.3f} "
               f"auc={payload['auc']:.3f} f1={payload['f1']:.3f} "
               f"genes={payload['selected_count']} ({elapsed:.1f}s)")
 
     print("kernel comparison (no selection):")
-    result = run(cfg, "compare", use_selection=False, ds=ds)
+    result = run(replace(cfg, selection_enabled=False), "compare", ds=ds)
     for row in result.rows:
         print(f"  {row['kernel']:>10s}  accuracy={row['accuracy']:.3f} "
               f"auc={row['auc']:.3f}")

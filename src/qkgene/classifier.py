@@ -55,8 +55,8 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
     Qt = Q.T
     np.subtract(K.T, K, out=Qt)
     asym = float(np.max(np.abs(Q, out=Q)))
-    if asym > SYMMETRY_TOL:
-        raise NumericalError(f"kernel matrix asymmetric by {asym:.3e}")
+    if not asym <= SYMMETRY_TOL:  # a NaN or inf entry makes asym NaN
+        raise NumericalError(f"kernel matrix not finite or asymmetric: |K - K'| up to {asym:.3e}")
 
     # y is +-1, so (K * y_i) * y_j has the bits of (y_i * y_j) * K
     np.multiply(K.T, y, out=Qt)
@@ -141,7 +141,7 @@ def predict(model: SvmModel, kernel_rows) -> np.ndarray:
 def rbf_kernel_matrix(x, z=None, gamma: float = 1.0) -> np.ndarray:
     """exp(-gamma * ||x - z||^2); symmetric with unit diagonal when z is None."""
     x = np.asarray(x, dtype=np.float64)
-    if gamma <= 0:
+    if not gamma > 0:  # written so that NaN fails too
         raise DataError("gamma must be positive")
     square = z is None
     z = x if square else np.asarray(z, dtype=np.float64)

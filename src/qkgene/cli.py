@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", help="shorthand for --set seed=...")
         if name != "select":
             cmd.add_argument("--no-selection", action="store_true",
-                             help="skip the gene-selection stage")
+                             help="shorthand for --set selection.enabled=false")
     return parser
 
 
@@ -83,13 +83,15 @@ def _config_from_args(args) -> pipeline.PipelineConfig:
         mapping["out.dir"] = args.out
     if args.seed is not None:
         mapping["seed"] = args.seed
+    if getattr(args, "no_selection", False):
+        mapping["selection.enabled"] = "false"
     return pipeline.parse_config(mapping)
 
 
 def _dispatch(args) -> None:
     cfg = _config_from_args(args)
     stage = COMMANDS[args.command]
-    res = pipeline.run(cfg, stage, use_selection=not getattr(args, "no_selection", False))
+    res = pipeline.run(cfg, stage)
     if stage == "evaluate":
         print(json.dumps(res.metrics, sort_keys=True, indent=2))
     elif stage == "compare":

@@ -342,11 +342,6 @@ def split_indices(labels, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
             if len(members) < 2:
                 raise DataError(f"class {cls} has fewer than 2 samples")
             n_test = round(len(members) * spec.test_fraction)
-            if n_test == 0 or n_test == len(members):
-                raise DataError(
-                    f"{spec.key} {spec.test_fraction} leaves class {cls} "
-                    "absent from one side of the split"
-                )
             perm = rng.permutation(members)
             test_parts.append(perm[:n_test])
             train_parts.append(perm[n_test:])
@@ -359,6 +354,11 @@ def split_indices(labels, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
         perm = rng.permutation(n)
         test = np.sort(perm[:n_test])
         train = np.sort(perm[n_test:])
+    for cls in np.unique(labels):
+        if cls not in labels[train] or cls not in labels[test]:
+            how = "" if spec.stratified else " (split.stratified is false)"
+            raise DataError(f"{spec.key} {spec.test_fraction} leaves class {cls} absent "
+                            f"from one side of the split{how}")
     return train, test
 
 

@@ -14,11 +14,12 @@ kernel treats it as a physical device setting rather than a derived stream.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -73,6 +74,7 @@ class PipelineConfig:
     positive_label: str = _key("data.positive_label", "1")
     test_fraction: float = _key("split.test_fraction", 0.25, *_between(0, 1))
     stratified: bool = _key("split.stratified", True)
+    selection_enabled: bool = _key("selection.enabled", True)
     smote_enabled: bool = _key("smote.enabled", True)
     smote_k: int = _key("smote.k", 5, *_at_least(1))
     smote_targets: tuple[tuple[int, int], ...] = ()
@@ -82,13 +84,11 @@ class PipelineConfig:
     hho_upper: float = _key("hho.upper", 1.0)
     hho_transfer: str = _key("hho.transfer", "s", *_one_of("s", "v"))
     fit_alpha: float = _key("fitness.alpha", 0.99, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-    fit_evaluator: str = _key("fitness.evaluator", "knn", *_one_of("knn"))
     fit_knn_k: int = _key("fitness.knn_k", 5, *_at_least(1))
     fit_val_fraction: float = _key("fitness.val_fraction", 0.2, *_between(0, 1))
     pca_k: int = _key("pca.k", 20, *_at_least(1))
     qk_map: str = _key("qk.map", "zz", *_one_of(*KERNEL_CHOICES))
     qk_reps: int = _key("qk.reps", 3, *_at_least(1))
-    qk_entanglement: str = _key("qk.entanglement", "linear", *_one_of("linear"))
     qk_mode: str = _key("qk.mode", "exact", *_one_of("exact", "sampled"))
     qk_shots: int = _key("qk.shots", 100, lambda v: 1 <= v <= quantum.MAX_SHOTS,
                          f"must lie in [1, {quantum.MAX_SHOTS}]")
@@ -213,7 +213,7 @@ class PreparedData:
     gene_names: list[str]  # of the raw input genes, for the mask artifact
     mask: FeatureMask | None = None
     history: list | None = None  # (best fitness, selected count) per search iteration
-    # the rest stay unset when prepare stops after the selection
+    # the rest stay unset after split_and_select alone
     pca: reduction.PcaModel | None = None
     scaler: PhaseScaler | None = None
     k_effective: int = 0
@@ -250,8 +250,8 @@ def _select(cfg: PipelineConfig, train: LabeledDataset):
     return run_bhho(train, params, fitness_config, transfer=cfg.hho_transfer)
 
 
-def prepare(cfg: PipelineConfig, use_selection: bool,
-            ds: LabeledDataset | None = None, select_only: bool = False) -> PreparedData:
+def split_and_select(cfg: PipelineConfig, ds: LabeledDataset | None = None) -> PreparedData:
+    """Load and split; with selection.enabled, keep only the genes the search selects."""
     ds = _load(cfg, ds)
     train, test = stratified_split(
         ds, SplitSpec(cfg.test_fraction, stage_seed(cfg.seed, "split"), cfg.stratified,
@@ -259,13 +259,17 @@ def prepare(cfg: PipelineConfig, use_selection: bool,
     )
     prep = PreparedData(train=train, test=test, gene_names=list(ds.gene_names))
     del ds  # the split copied its rows: free the loaded matrix
-    if use_selection:
+    if cfg.selection_enabled:
         prep.mask, prep.history = _select(cfg, train)
-        train = train.select_genes(prep.mask.bits)
-        test = test.select_genes(prep.mask.bits)
-    if select_only:
-        return prep
+        prep.train = train.select_genes(prep.mask.bits)
+        prep.test = test.select_genes(prep.mask.bits)
+    return prep
 
+
+def prepare(cfg: PipelineConfig, ds: LabeledDataset | None = None) -> PreparedData:
+    """split_and_select, then oversampling, PCA and phase scaling, in cfg's order."""
+    prep = split_and_select(cfg, ds)
+    train, test = prep.train, prep.test
     smote_cfg = SmoteConfig(
         k_neighbors=cfg.smote_k,
         target_counts=dict(cfg.smote_targets) if cfg.smote_targets else None,
@@ -294,9 +298,8 @@ def prepare(cfg: PipelineConfig, use_selection: bool,
     return prep
 
 
-def _kernels(cfg: PipelineConfig, prep: PreparedData, kind: str | None = None):
-    kind = cfg.qk_map if kind is None else kind
-    k = prep.k_effective
+def _kernels(cfg: PipelineConfig, prep: PreparedData):
+    kind, k = cfg.qk_map, prep.k_effective
     if kind == "rbf":
         gamma = 1.0 / k
         return (classifier.rbf_kernel_matrix(prep.train.features, gamma=gamma),
@@ -315,10 +318,9 @@ def _kernels(cfg: PipelineConfig, prep: PreparedData, kind: str | None = None):
     return k_train, k_cross
 
 
-def _train(cfg: PipelineConfig, k_train: np.ndarray, labels: np.ndarray,
-           kind: str) -> classifier.SvmModel:
+def _train(cfg: PipelineConfig, k_train: np.ndarray, labels: np.ndarray) -> classifier.SvmModel:
     clip = cfg.psd_clip == "on" or (
-        cfg.psd_clip == "auto" and cfg.qk_mode == "sampled" and kind != "rbf"
+        cfg.psd_clip == "auto" and cfg.qk_mode == "sampled" and cfg.qk_map != "rbf"
     )
     if clip:
         k_train = classifier.clip_kernel_psd(k_train)
@@ -342,13 +344,6 @@ def _evaluate(model: classifier.SvmModel, k_cross: np.ndarray, test_labels: np.n
 def _out_path(cfg: PipelineConfig, name: str) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
-
-
-def _remove(path: str) -> None:
-    try:
-        os.remove(path)
-    except FileNotFoundError:
-        pass
 
 
 def _write_mask(cfg, hash_text, mask: FeatureMask, gene_names: list[str]) -> None:
@@ -426,40 +421,39 @@ class RunResult:
     rows: list[dict] | None = None  # compare: one row of scores per kernel
 
 
-def run(cfg: PipelineConfig, stage: str, use_selection: bool = True,
-        ds: LabeledDataset | None = None, write: bool = True) -> RunResult:
-    """Run the pipeline up to `stage` (one of STAGES) and write its artifacts.
-
-    select always runs the gene search. compare trains and scores every
-    kernel in KERNEL_CHOICES on one shared prepared dataset.
-    """
+def run(cfg: PipelineConfig, stage: str, ds: LabeledDataset | None = None) -> RunResult:
+    """Run the pipeline up to `stage` (one of STAGES), set by cfg alone (ds,
+    when given, stands in for data.path), and write its artifacts. select
+    needs selection.enabled; compare scores every kernel in KERNEL_CHOICES on
+    one prepared dataset, each under cfg with qk.map set to that kernel."""
     if stage not in STAGE_ARTIFACTS:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
-    use_selection = use_selection or stage == "select"
-    res = RunResult(stage, prepare(cfg, use_selection, ds, select_only=stage == "select"))
+    if stage == "select" and not cfg.selection_enabled:
+        raise ConfigError("selection.enabled=false leaves the select stage nothing to run")
+    res = RunResult(stage, (split_and_select if stage == "select" else prepare)(cfg, ds))
     prep = res.prep
     if stage in ("kernel", "train", "evaluate"):
         res.k_train, res.k_cross = _kernels(cfg, prep)
     if stage in ("train", "evaluate"):
-        res.model = _train(cfg, res.k_train, prep.train.labels, cfg.qk_map)
+        res.model = _train(cfg, res.k_train, prep.train.labels)
     if stage == "evaluate":
         summary, res.curve = _evaluate(res.model, res.k_cross, prep.test.labels)
         res.metrics = dict(
             summary, config_hash=config_hash(cfg), kernel=cfg.qk_map, mode=cfg.qk_mode,
             pca_k=prep.k_effective, n_train=prep.train.n_samples,
-            n_test=prep.test.n_samples, use_selection=use_selection,
-            selected_count=prep.mask.selected_count if use_selection else None,
+            n_test=prep.test.n_samples, use_selection=cfg.selection_enabled,
+            selected_count=prep.mask.selected_count if cfg.selection_enabled else None,
             input_hash=prep.input_hash,
         )
     if stage == "compare":
         res.rows = []
         for kind in KERNEL_CHOICES:
-            k_train, k_cross = _kernels(cfg, prep, kind=kind)
-            model = _train(cfg, k_train, prep.train.labels, kind)
+            kind_cfg = replace(cfg, qk_map=kind)
+            k_train, k_cross = _kernels(kind_cfg, prep)
+            model = _train(kind_cfg, k_train, prep.train.labels)
             summary, _curve = _evaluate(model, k_cross, prep.test.labels)
             res.rows.append({"kernel": kind, **{k: summary[k] for k in COMPARE_COLUMNS}})
-    if write:
-        _write_artifacts(cfg, res)
+    _write_artifacts(cfg, res)
     return res
 
 
@@ -482,7 +476,8 @@ def _write_artifacts(cfg: PipelineConfig, res: RunResult) -> None:
         "metrics.json": lambda: _write_metrics(cfg, res.metrics),
     }
     for name in ARTIFACTS:
-        _remove(_out_path(cfg, name))
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(_out_path(cfg, name))
     for name in STAGE_ARTIFACTS[res.stage]:
         if prep.mask is not None or name not in ("mask.csv", "convergence.csv"):
             writers[name]()

@@ -251,15 +251,16 @@ def run_circuit(circuit: FeatureMap, n_qubits: int) -> np.ndarray:
                           f"qubit count, got {type(circuit).__name__} on {n_qubits} qubits")
     amps = _embed(circuit.spec, circuit.x)
     norm = math.sqrt(np.vdot(amps, amps).real)
-    if abs(norm - 1.0) > 1e-9:
-        raise NumericalError(f"statevector norm drifted to {norm}")
+    if not abs(norm - 1.0) <= 1e-9:  # written so that NaN fails too
+        raise NumericalError(f"statevector norm drifted to {norm}; lower scale.hi")
     return amps
 
 
 def _embedding_matrix(X: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     states = np.empty((len(X), 1 << spec.n_qubits), dtype=np.complex128)
-    for i, x in enumerate(X):
-        states[i] = run_circuit(build_feature_map(spec, x), spec.n_qubits)
+    with np.errstate(over="ignore", invalid="ignore"):  # run_circuit's norm check reports these
+        for i, x in enumerate(X):
+            states[i] = run_circuit(build_feature_map(spec, x), spec.n_qubits)
     return states
 
 

@@ -9,6 +9,7 @@ decision, not a test fix.
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,13 +237,9 @@ def test_criterion_08_selection_beats_baseline(tmp_path):
 
             cfg = PipelineConfig(pca_k=4, hho_iters=50, seed=seed, scale_hi=0.5,
                                  out_dir=str(tmp_path / f"s{seed}"))
-            with_selection.append(
-                run(cfg, "evaluate", use_selection=True, ds=ds,
-                    write=False).metrics["accuracy"]
-            )
+            with_selection.append(run(cfg, "evaluate", ds=ds).metrics["accuracy"])
             without_selection.append(
-                run(cfg, "evaluate", use_selection=False, ds=ds,
-                    write=False).metrics["accuracy"]
+                run(replace(cfg, selection_enabled=False), "evaluate", ds=ds).metrics["accuracy"]
             )
         mean_with = float(np.mean(with_selection))
         mean_without = float(np.mean(without_selection))

@@ -36,7 +36,8 @@ def read_text(path) -> str:
 
 
 def cfg_for(tmp_path, **overrides) -> PipelineConfig:
-    base = dict(pca_k=2, seed=11, scale_hi=0.5, out_dir=str(tmp_path / "out"))
+    base = dict(pca_k=2, seed=11, scale_hi=0.5, selection_enabled=False,
+                out_dir=str(tmp_path / "out"))
     base.update(overrides)
     return PipelineConfig(**base)
 
@@ -304,13 +305,13 @@ class TestOutDirConsistency:
         ds = planted_dataset(40, 12, 3, shift=3.0, seed=2)
         cfg = PipelineConfig(hho_hawks=5, hho_iters=5, pca_k=3, seed=2,
                              scale_hi=0.5, out_dir=str(tmp_path / "out"))
-        run(cfg, "evaluate", use_selection=True, ds=ds)
+        run(cfg, "evaluate", ds=ds)
         out = tmp_path / "out"
         assert (out / "mask.csv").exists() and (out / "convergence.csv").exists()
 
         cfg2 = PipelineConfig(hho_hawks=5, hho_iters=5, pca_k=3, seed=3,
-                              scale_hi=0.5, out_dir=str(out))
-        run(cfg2, "evaluate", use_selection=False, ds=ds)
+                              scale_hi=0.5, selection_enabled=False, out_dir=str(out))
+        run(cfg2, "evaluate", ds=ds)
         assert sorted(os.listdir(out)) == ["kernel_cross.csv", "kernel_train.csv",
                                            "metrics.json", "model.csv",
                                            "pca_model.csv", "roc.csv"]
@@ -322,7 +323,7 @@ class TestOutDirConsistency:
     def test_failed_write_leaves_no_temp_file_and_no_metrics(self, tmp_path, monkeypatch):
         ds = blobs_dataset(40, 2, separation=6.0, seed=7)
         cfg = cfg_for(tmp_path)
-        run(cfg, "evaluate", use_selection=False, ds=ds)
+        run(cfg, "evaluate", ds=ds)
         out = tmp_path / "out"
         assert (out / "metrics.json").exists()
 
@@ -337,7 +338,7 @@ class TestOutDirConsistency:
         monkeypatch.setattr(pipeline, "_write_model", failing_write_model)
         cfg2 = cfg_for(tmp_path, seed=12)
         with pytest.raises(OSError, match="disk full"):
-            run(cfg2, "evaluate", use_selection=False, ds=ds)
+            run(cfg2, "evaluate", ds=ds)
         # every artifact went before the first write: what is left is the
         # second config's, written in order up to the failed model.csv
         names = sorted(os.listdir(out))
@@ -376,5 +377,5 @@ class TestOutDirConsistency:
                        else first.removeprefix("# config_hash="))
         seven = pipeline.parse_config({"data.path": str(data), "out.dir": str(out), "pca.k": "3",
                                        "hho.n": "5", "hho.t": "5", "scale.hi": "0.5",
-                                       "seed": "7"})
+                                       "seed": "7", "selection.enabled": str(not selection)})
         assert hashes == {config_hash(seven)}

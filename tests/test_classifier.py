@@ -145,6 +145,17 @@ class TestSmoTrain:
         with pytest.raises(NumericalError):
             smo_train(K, np.array([1, -1, 1]))
 
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 2)])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_kernel_rejected(self, pair, entry):
+        """A NaN or inf entry makes |K - K'| NaN, and NaN fails the symmetry
+        check: no NaN alphas and bias."""
+        K = np.eye(3)
+        K[pair] = K[pair[::-1]] = entry
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalError, match="^kernel matrix not finite or asymmetric"):
+            smo_train(K, np.array([1, -1, 1]))
+
     def test_kernel_is_left_unchanged(self):
         rng = np.random.default_rng(12)
         K, labels = random_psd_instance(rng, 9)
@@ -256,6 +267,11 @@ class TestRbfKernel:
         K = rbf_kernel_matrix(rng.normal(size=(6, 3)), gamma=0.7)
         np.testing.assert_array_equal(np.diag(K), np.ones(6))
         assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+    def test_gamma_must_be_positive(self, gamma):
+        with pytest.raises(DataError, match="^gamma must be positive$"):
+            rbf_kernel_matrix(np.eye(3), gamma=gamma)
 
     def test_gamma_to_zero_limit(self):
         rng = np.random.default_rng(9)

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -27,16 +28,14 @@ from qkgene.pipeline import PipelineConfig, config_hash, parse_config
 ROOT = Path(__file__).resolve().parents[1]
 KEYS = sorted(pipeline._FIELDS)
 
-# every key at a value other than its default, except the two keys that
-# accept only their default (fitness.evaluator, qk.entanglement)
+# every key at a value other than its default
 EVERY_KEY_SET = {
     "data.path": "data/colon.csv", "data.label_column": "class",
     "data.positive_label": "tumor", "split.test_fraction": "0.3",
-    "split.stratified": "false", "smote.enabled": "false", "smote.k": "3",
-    "hho.n": "7", "hho.t": "9", "hho.lower": "-2.5", "hho.upper": "4.0",
-    "hho.transfer": "v", "fitness.alpha": "0.9", "fitness.evaluator": "knn",
-    "fitness.knn_k": "3", "fitness.val_fraction": "0.35", "pca.k": "6",
-    "qk.map": "pauli_zyy", "qk.reps": "2", "qk.entanglement": "linear",
+    "split.stratified": "false", "selection.enabled": "false", "smote.enabled": "false",
+    "smote.k": "3", "hho.n": "7", "hho.t": "9", "hho.lower": "-2.5", "hho.upper": "4.0",
+    "hho.transfer": "v", "fitness.alpha": "0.9", "fitness.knn_k": "3",
+    "fitness.val_fraction": "0.35", "pca.k": "6", "qk.map": "pauli_zyy", "qk.reps": "2",
     "qk.mode": "sampled", "qk.shots": "512", "qk.seed": "7", "svm.c": "2.5",
     "svm.tol": "0.0001", "svm.max_passes": "40", "svm.psd_clip": "on",
     "scale.lo": "-0.5", "scale.hi": "0.75", "pipeline.pca_before_smote": "true",
@@ -92,29 +91,50 @@ def config_hashes(out_dir) -> set[str]:
 
 
 class TestPinnedHash:
-    """Recorded before the schema was derived from the fields: deriving the
-    key order must not move any artifact's config_hash header."""
+    """Recorded when selection.enabled became a key and fitness.evaluator and
+    qk.entanglement went: a change to the key set or to how values are
+    written moves every artifact's config_hash header, and shows here."""
 
     def test_defaults(self):
-        assert config_hash(PipelineConfig()) == "b8cc40067cb878a9"
+        assert config_hash(PipelineConfig()) == "71f679d190dc8acc"
 
     def test_every_key_set(self):
         assert set(EVERY_KEY_SET) == set(KEYS)
         cfg = parse_config(EVERY_KEY_SET)
-        for key, text in EVERY_KEY_SET.items():
-            if key not in ("fitness.evaluator", "qk.entanglement"):
-                field = pipeline._FIELDS[key]
-                assert getattr(cfg, field.name) != field.default, key
-        assert config_hash(cfg) == "9136e22ae112716f"
+        for key in EVERY_KEY_SET:
+            field = pipeline._FIELDS[key]
+            assert getattr(cfg, field.name) != field.default, key
+        assert config_hash(cfg) == "6380a676fc7b4604"
 
     def test_smote_targets(self):
         cfg = parse_config({"smote.targets.1": "49", "smote.targets.-1": "31"})
-        assert config_hash(cfg) == "ce891ef39360dc99"
+        assert config_hash(cfg) == "9d00cb505dec3957"
+
+
+class TestHashCoversEveryKey:
+    """Every artifact carries config_hash, so configs that differ in any one
+    key, selection.enabled included, must stamp different hashes."""
+
+    @pytest.mark.parametrize("key", KEYS + ["smote.targets.1"])
+    def test_one_key_moves_the_hash(self, key):
+        changed = parse_config({key: EVERY_KEY_SET.get(key, "49")})
+        assert config_hash(changed) != config_hash(PipelineConfig())
+
+    def test_run_all_with_and_without_selection_stamp_different_hashes(self, tmp_path):
+        csv_path = write_csv(tmp_path / "data.csv", 16, 4)
+        out = tmp_path / "out"
+        stamps = []
+        for flag in ([], ["--no-selection"]):
+            argv = ["run-all", "--data", csv_path, "--out", str(out), "--set", "qk.map=rbf",
+                    "--set", "hho.t=2", *flag]
+            assert run_cli(argv)[0] == 0
+            stamps.append(config_hashes(out))
+        assert len(stamps[0]) == len(stamps[1]) == 1 and stamps[0] != stamps[1]
 
 
 class TestSchema:
-    def test_thirty_two_keys_each_with_a_field(self):
-        assert len(KEYS) == 32
+    def test_thirty_one_keys_each_with_a_field(self):
+        assert len(KEYS) == 31
         names = {f.name for f in pipeline._FIELDS.values()}
         assert names | {"smote_targets"} == set(PipelineConfig.__dataclass_fields__)
 
@@ -193,7 +213,7 @@ class TestCliConfigErrors:
         (["svm.c=nan"], "svm.c"),
         (["svm.tol=nan"], "svm.tol"),
         (["scale.hi=inf"], "scale.hi"),
-        (["fitness.evaluator=svm"], "fitness.evaluator"),
+        (["fitness.alpha=2"], "fitness.alpha"),
         (["qk.mode=sampled", "qk.shots=1000000000000"], "qk.shots"),
     ])
     def test_bad_value_is_one_line_naming_its_key(self, tmp_path, csv_path, settings_, key):
@@ -270,6 +290,50 @@ class TestCliConfigErrors:
         argparse's usage block; --seed's value is checked as the key seed."""
         assert run_cli(argv) == (1, "", f"config error: {message}\n")
 
+    def test_no_selection_flag_is_the_selection_key(self, tmp_path, csv_path):
+        """--no-selection configures exactly what --set selection.enabled=false does."""
+        out = tmp_path / "out"
+        base = ["run-all", "--data", csv_path, "--out", str(out), "--set", "pca.k=2"]
+        artifacts = []
+        for flag in (["--no-selection"], ["--set", "selection.enabled=false"]):
+            assert run_cli(base + flag)[0] == 0
+            artifacts.append({name: (out / name).read_bytes() for name in os.listdir(out)})
+        assert artifacts[0] == artifacts[1] and "mask.csv" not in artifacts[0]
+
+    def test_select_without_selection_names_the_key(self, tmp_path, csv_path):
+        out = tmp_path / "out"
+        code, _out, err = run_cli(["select", "--data", csv_path, "--out", str(out),
+                                   "--set", "selection.enabled=false"])
+        assert (code, err) == (1, "config error: selection.enabled=false leaves the select "
+                                  "stage nothing to run\n")
+        assert not out.exists()
+
+    @pytest.fixture
+    def synthetic_csv(self, tmp_path):
+        """The 40 x 30 file of scripts/make_synthetic_csv.py."""
+        main = runpy.run_path(str(ROOT / "scripts" / "make_synthetic_csv.py"))["main"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["--samples", "40", "--genes", "30", "--out", str(tmp_path / "d.csv")])
+        return str(tmp_path / "d.csv")
+
+    def test_non_finite_phases_stop_the_kernel_stage(self, tmp_path, synthetic_csv):
+        """Pair phases of (1e300)^2 overflow to NaN states: exit 3 with one
+        line at the kernel stage, not NaN alphas and a later data error."""
+        code, _out, err = run_cli(["run-all", "--data", synthetic_csv, "--out",
+                                   str(tmp_path / "out"), "--no-selection",
+                                   "--set", "pca.k=3", "--set", "scale.hi=1e300"])
+        assert (code, err) == (3, "numerical failure: statevector norm drifted to nan; "
+                                  "lower scale.hi\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_unstratified_split_that_drops_a_class_names_both_keys(self, tmp_path,
+                                                                   synthetic_csv):
+        code, _out, err = run_cli(["run-all", "--data", synthetic_csv, "--out",
+                                   str(tmp_path / "out"), "--set", "split.stratified=false",
+                                   "--set", "split.test_fraction=0.05"])
+        assert code == 2 and err.startswith("data error: split.test_fraction 0.05 leaves class ")
+        assert "split.stratified" in err and err.count("\n") == 1, err
+
     def test_seed_flag_is_the_seed_key(self, tmp_path, csv_path):
         """--seed N configures exactly what --set seed=N does, and --help
         still exits 0."""
@@ -295,6 +359,7 @@ VALID = {
     "data.positive_label": st.sampled_from(["1", "-1"]),
     "split.test_fraction": st.floats(0.2, 0.5),
     "split.stratified": st.sampled_from(["true", "false", "no", "ON"]),
+    "selection.enabled": st.sampled_from(["true", "false"]),
     "smote.enabled": st.sampled_from(["true", "false"]),
     "smote.k": st.integers(1, 6),
     "hho.n": st.integers(2, 6),
@@ -303,13 +368,11 @@ VALID = {
     "hho.upper": st.floats(0.5, 5),
     "hho.transfer": st.sampled_from(["s", "v"]),
     "fitness.alpha": st.floats(0, 1),
-    "fitness.evaluator": st.just("knn"),
     "fitness.knn_k": st.integers(1, 6),
     "fitness.val_fraction": st.floats(0.1, 0.6),
     "pca.k": st.integers(1, 8),
     "qk.map": st.sampled_from(pipeline.KERNEL_CHOICES),
     "qk.reps": st.integers(1, 3),
-    "qk.entanglement": st.just("linear"),
     "qk.mode": st.sampled_from(["exact", "sampled"]),
     "qk.shots": st.integers(1, 64),
     "qk.seed": st.integers(0, 2**70),

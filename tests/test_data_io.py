@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -361,6 +362,17 @@ class TestSplit:
         labels = np.array([1, 1, 1, -1])
         with pytest.raises(DataError):
             split_indices(labels, SplitSpec(0.25, seed=0))
+
+    @pytest.mark.parametrize("stratified, how", [(True, ""),
+                                                  (False, " (split.stratified is false)")])
+    def test_split_that_drops_a_class_names_its_keys(self, stratified, how):
+        """One test row of 40 leaves a class out of the test side, with or
+        without stratification."""
+        labels = np.array([1, -1] * 20)
+        spec = SplitSpec(0.025, seed=0, stratified=stratified, key="split.test_fraction")
+        with pytest.raises(DataError, match=r"^split\.test_fraction 0\.025 leaves class -?1 "
+                           rf"absent from one side of the split{re.escape(how)}$"):
+            split_indices(labels, spec)
 
     @given(
         n_pos=st.integers(4, 30),

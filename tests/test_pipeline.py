@@ -22,7 +22,8 @@ from qkgene.synth import blobs_dataset, planted_dataset
 
 
 def blob_config(tmp_path, **overrides):
-    base = dict(pca_k=2, seed=11, scale_hi=0.5, out_dir=str(tmp_path / "out"))
+    base = dict(pca_k=2, seed=11, scale_hi=0.5, selection_enabled=False,
+                out_dir=str(tmp_path / "out"))
     base.update(overrides)
     return PipelineConfig(**base)
 
@@ -172,8 +173,7 @@ class TestRunSelect:
 
 class TestRunFull:
     def test_blob_accuracy(self, tmp_path):
-        payload = run(blob_config(tmp_path), "evaluate", use_selection=False,
-                      ds=blob_data()).metrics
+        payload = run(blob_config(tmp_path), "evaluate", ds=blob_data()).metrics
         assert payload["accuracy"] >= 0.9
         assert payload["kernel"] == "zz"
         assert payload["use_selection"] is False
@@ -181,16 +181,16 @@ class TestRunFull:
 
     def test_rerun_identical_payload_and_bytes(self, tmp_path):
         cfg = blob_config(tmp_path)
-        first = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
+        first = run(cfg, "evaluate", ds=blob_data()).metrics
         metrics_path = tmp_path / "out" / "metrics.json"
         blob = metrics_path.read_bytes()
-        second = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
+        second = run(cfg, "evaluate", ds=blob_data()).metrics
         assert first == second
         assert metrics_path.read_bytes() == blob
 
     def test_artifacts_written(self, tmp_path):
         cfg = blob_config(tmp_path)
-        run(cfg, "evaluate", use_selection=False, ds=blob_data())
+        run(cfg, "evaluate", ds=blob_data())
         out = tmp_path / "out"
         for name in ("pca_model.csv", "kernel_train.csv", "kernel_cross.csv",
                      "model.csv", "roc.csv", "metrics.json"):
@@ -204,7 +204,7 @@ class TestRunFull:
         ds = planted_dataset(40, 12, 3, shift=3.0, seed=2)
         cfg = PipelineConfig(hho_hawks=5, hho_iters=5, pca_k=3, seed=2,
                              scale_hi=0.5, out_dir=str(tmp_path / "out"))
-        payload = run(cfg, "evaluate", use_selection=True, ds=ds).metrics
+        payload = run(cfg, "evaluate", ds=ds).metrics
         assert payload["selected_count"] >= 1
         assert (tmp_path / "out" / "mask.csv").exists()
         assert (tmp_path / "out" / "convergence.csv").exists()
@@ -215,28 +215,27 @@ class TestRunFull:
         assert len(mask_lines) - 1 == 12  # header plus one row per input gene
 
     def test_payload_metrics_fields(self, tmp_path):
-        payload = run(blob_config(tmp_path), "evaluate", use_selection=False,
-                      ds=blob_data()).metrics
+        payload = run(blob_config(tmp_path), "evaluate", ds=blob_data()).metrics
         for key in ("accuracy", "precision", "recall", "specificity", "f1",
                     "auc", "config_hash", "input_hash", "n_train", "n_test"):
             assert key in payload
 
     def test_metrics_json_is_canonical(self, tmp_path):
         cfg = blob_config(tmp_path)
-        payload = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
+        payload = run(cfg, "evaluate", ds=blob_data()).metrics
         raw = (tmp_path / "out" / "metrics.json").read_text()
         assert raw == json.dumps(payload, sort_keys=True,
                                  separators=(",", ":")) + "\n"
 
     def test_sampled_mode_runs(self, tmp_path):
         cfg = blob_config(tmp_path, qk_mode="sampled", qk_shots=100)
-        payload = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
+        payload = run(cfg, "evaluate", ds=blob_data()).metrics
         assert payload["mode"] == "sampled"
         assert 0.0 <= payload["accuracy"] <= 1.0
 
     def test_pca_before_smote_switch(self, tmp_path):
         cfg = blob_config(tmp_path, pca_before_smote=True)
-        payload = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
+        payload = run(cfg, "evaluate", ds=blob_data()).metrics
         assert 0.0 <= payload["accuracy"] <= 1.0
 
     # sha256 of prepare()'s scaled train/test features and labels, per order
@@ -249,8 +248,8 @@ class TestRunFull:
     def test_prepared_data_is_pinned_for_both_orders(self, tmp_path, pca_before_smote):
         ds = planted_dataset(40, 12, 3, shift=2.0, seed=9, positive_fraction=0.7)
         cfg = PipelineConfig(pca_k=3, seed=4, out_dir=str(tmp_path / "out"),
-                             pca_before_smote=pca_before_smote)
-        prep = prepare(cfg, use_selection=False, ds=ds)
+                             pca_before_smote=pca_before_smote, selection_enabled=False)
+        prep = prepare(cfg, ds=ds)
         assert prep.train.n_samples > 30  # SMOTE added rows
         digest = hashlib.sha256()
         for part in (prep.train, prep.test):
@@ -259,16 +258,16 @@ class TestRunFull:
 
     def test_pca_k_clamped_to_data(self, tmp_path):
         cfg = blob_config(tmp_path, pca_k=50)
-        payload = run(cfg, "evaluate", use_selection=False, ds=blob_data()).metrics
+        payload = run(cfg, "evaluate", ds=blob_data()).metrics
         assert payload["pca_k"] == 2  # only two input features exist
 
 
 class TestLeakageAudit:
     def test_test_labels_never_touch_training(self, tmp_path):
         cfg = blob_config(tmp_path)
-        prep = prepare(cfg, use_selection=False, ds=blob_data())
+        prep = prepare(cfg, ds=blob_data())
         k_train, k_cross = pipeline._kernels(cfg, prep)
-        model = pipeline._train(cfg, k_train, prep.train.labels, cfg.qk_map)
+        model = pipeline._train(cfg, k_train, prep.train.labels)
 
         tampered = LabeledDataset(prep.test.features, -prep.test.labels)
         prep_tampered = pipeline.PreparedData(
@@ -278,8 +277,7 @@ class TestLeakageAudit:
             input_hash=prep.input_hash, gene_names=prep.gene_names,
         )
         k_train2, k_cross2 = pipeline._kernels(cfg, prep_tampered)
-        model2 = pipeline._train(cfg, k_train2, prep_tampered.train.labels,
-                                 cfg.qk_map)
+        model2 = pipeline._train(cfg, k_train2, prep_tampered.train.labels)
         np.testing.assert_array_equal(k_train, k_train2)
         np.testing.assert_array_equal(k_cross, k_cross2)
         np.testing.assert_array_equal(model.alphas, model2.alphas)
@@ -289,7 +287,7 @@ class TestLeakageAudit:
 class TestCompareKernels:
     def test_four_rows_shared_input(self, tmp_path):
         cfg = blob_config(tmp_path)
-        result = run(cfg, "compare", use_selection=False, ds=blob_data())
+        result = run(cfg, "compare", ds=blob_data())
         kinds = [row["kernel"] for row in result.rows]
         assert kinds == ["z", "zz", "pauli_zyy", "rbf"]
         assert len(result.prep.input_hash) == 16
@@ -302,8 +300,7 @@ class TestCompareKernels:
         assert len(data_rows) == 4
 
     def test_separable_set_all_kernels_good(self, tmp_path):
-        result = run(blob_config(tmp_path), "compare", use_selection=False,
-                     ds=blob_data(), write=False)
+        result = run(blob_config(tmp_path), "compare", ds=blob_data())
         for row in result.rows:
             assert row["accuracy"] >= 0.8, row
 
@@ -366,7 +363,8 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         # --set wins over the file: the run used seed 11, hashed into config
-        cfg = parse_config({**load_config_file(conf), "seed": "11"})
+        # with --no-selection's selection.enabled=false
+        cfg = parse_config({**load_config_file(conf), "seed": "11", "selection.enabled": "false"})
         assert payload["config_hash"] == config_hash(cfg)
 
     def test_exit_code_config_error(self, tmp_path, capsys):
@@ -488,7 +486,7 @@ class TestColonScale:
         )
         tracemalloc.start()
         try:
-            payload = run(cfg, "evaluate", use_selection=True, ds=ds).metrics
+            payload = run(cfg, "evaluate", ds=ds).metrics
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qkgene import quantum
-from qkgene.errors import ConfigError
+from qkgene.errors import ConfigError, NumericalError
 from qkgene.quantum import (
     MAP_KINDS,
     MAX_QUBITS,
@@ -126,6 +126,19 @@ class TestGateFusion:
                                rf"{n} qubits$"):
                 run_circuit(circuit, n)
         assert run_circuit(built, 5).tobytes() == _embedding_matrix(x[None, :], spec).tobytes()
+
+    def test_non_finite_state_fails_the_norm_check(self):
+        """Pair phases of (pi - 1e300)^2 overflow and the state is all NaN;
+        NaN fails the norm check, in run_circuit and in a kernel, whose
+        embedding raises no numpy warning on the way."""
+        spec = FeatureMapSpec(3, "zz", reps=3)
+        row = np.array([1e300, 1e300, 0.5])
+        message = r"^statevector norm drifted to nan; lower scale\.hi$"
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=message):
+            run_circuit(build_feature_map(spec, row), 3)
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match=message):
+            kernel_matrix(np.array([[0.1, 0.2, 0.3], row]), spec)
 
     @pytest.mark.parametrize("kind", ["z", "zz", "pauli_zyy"])
     @pytest.mark.parametrize("n", [6, 8, 10, 12])  # 12: three H blocks
