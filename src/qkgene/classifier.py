@@ -53,8 +53,9 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
     # its row-order transpose Qt, so each fill streams through memory.
     Q = np.empty((n, n), order="F")
     Qt = Q.T
-    np.subtract(K.T, K, out=Qt)
-    asym = float(np.max(np.abs(Q, out=Q)))
+    with np.errstate(invalid="ignore"):  # inf - inf: the check below reports the NaN
+        np.subtract(K.T, K, out=Qt)
+        asym = float(np.max(np.abs(Q, out=Q)))
     if not asym <= SYMMETRY_TOL:  # a NaN or inf entry makes asym NaN
         raise NumericalError(f"kernel matrix not finite or asymmetric: |K - K'| up to {asym:.3e}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import floatrepr
-from .errors import ConfigError, DataError
+from .errors import DataError, between, check_settings, check_span, setting
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -80,14 +80,13 @@ class SplitSpec:
     """How to split; `key` is the name error messages give test_fraction,
     the config key a user set (split.test_fraction, fitness.val_fraction)."""
 
-    test_fraction: float = 0.25
+    test_fraction: float = setting(0.25, *between(0, 1))
     seed: int = 0
     stratified: bool = True
     key: str = "test_fraction"
 
     def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(f"{self.key} must lie strictly between 0 and 1")
+        check_settings(self, {"test_fraction": self.key})
 
 
 def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
@@ -130,9 +129,7 @@ def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
     if len(distinct) > 2:
         raise DataError(f"{path}: expected 2 classes, found {len(distinct)}: {distinct}")
     if str(positive_label) not in distinct:
-        raise DataError(
-            f"{path}: positive label {positive_label!r} not among classes {distinct}"
-        )
+        raise DataError(f"{path}: data.positive_label={positive_label} not in classes {distinct}")
     labels = np.where(np.array(raw_labels) == str(positive_label), POSITIVE, NEGATIVE)
     return LabeledDataset(np.asarray(features), labels, gene_names)
 
@@ -141,13 +138,12 @@ def _label_index(header: list[str], label_column) -> int:
     width = len(header)
     if isinstance(label_column, int):
         label_idx = label_column if label_column >= 0 else width + label_column
-        if not 0 <= label_idx < width:
-            raise DataError(f"label column index {label_column} out of range")
-        return label_idx
-    try:
+        if 0 <= label_idx < width:
+            return label_idx
+    elif label_column in header:
         return header.index(label_column)
-    except ValueError:
-        raise DataError(f"label column {label_column!r} not in header") from None
+    raise DataError(f"data.label_column={label_column} names no column of the "
+                    f"{width}-column header")
 
 
 class _NotPlain(Exception):
@@ -381,10 +377,8 @@ class PhaseScaler:
     col_max: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ConfigError("phase range requires hi > lo")
-        if not math.isfinite(self.hi - self.lo):
-            raise ConfigError("phase range hi - lo must be finite")
+        check_settings(self)
+        check_span("lo", "hi", self.lo, self.hi)
 
     def fit(self, features) -> "PhaseScaler":
         features = np.asarray(features, dtype=np.float64)

@@ -1,13 +1,16 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the settings checks.
 
 The CLI maps these onto process exit codes, so every stage raises one of
 the three families below instead of bare ValueError where the failure is
 user-visible: ConfigError for bad settings, DataError for bad input data,
 NumericalError for failures of the numerical machinery itself.
-check_integer is the shared check, of the config and of the stage
-settings, that a count is an integer.
+A setting's rule, a (check, wording) pair that NaN fails, lives on the
+setting() field of the stage class that consumes it; check_settings and
+check_span enforce it, and PipelineConfig reuses it (rule_of) by dotted key.
 """
+import math
 import numbers
+from dataclasses import field, fields
 
 
 class ConfigError(ValueError):
@@ -30,9 +33,61 @@ class ConvergenceError(NumericalError):
         self.kkt_violation = kkt_violation
 
 
+def at_least(low):
+    return (lambda v: v >= low), f"must be at least {low}"
+
+
+def between(low, high):
+    return (lambda v: low < v < high), f"must lie strictly between {low} and {high}"
+
+
+def within(low, high):
+    return (lambda v: low <= v <= high), f"must lie in [{low}, {high}]"
+
+
+def one_of(*choices):
+    return (lambda v: v in choices), "must be " + " or ".join(map(repr, choices))
+
+
+POSITIVE = (lambda v: v > 0), "must be positive"
+
+
+def setting(default, check=None, rule: str = "", **metadata):
+    """A settings field: its default (dataclasses.MISSING for none) and a rule."""
+    return field(default=default, metadata={"check": check, "rule": rule, **metadata})
+
+
+def rule_of(cls, name: str):
+    """The (check, wording) rule of settings class cls's field `name`."""
+    meta = cls.__dataclass_fields__[name].metadata
+    return meta["check"], meta["rule"]
+
+
 def check_integer(name: str, value) -> None:
     """Raise ConfigError naming the setting unless value is an integer, and
     not a bool. A float count would construct and then fail inside numpy,
     with a traceback."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def check_settings(obj, names=None) -> None:
+    """Raise ConfigError, naming the field as names maps it or else by its
+    own name, unless each int field of the dataclass obj is an integer,
+    each float field is finite and each field passes its rule."""
+    for f in fields(obj):
+        name, value = (names or {}).get(f.name, f.name), getattr(obj, f.name)
+        if f.type == "int":  # the package postpones annotations: a type is its name
+            check_integer(name, value)
+        if f.type == "float" and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite")
+        if f.metadata.get("check") and not f.metadata["check"](value):
+            raise ConfigError(f"{name} {f.metadata['rule']}")
+
+
+def check_span(lo_name: str, hi_name: str, lo, hi) -> None:
+    """Raise ConfigError unless hi exceeds lo by a finite width."""
+    if not hi > lo:
+        raise ConfigError(f"{hi_name} must exceed {lo_name}")
+    if not math.isfinite(float(hi) - float(lo)):  # numpy scalars would warn on overflow
+        raise ConfigError(f"{hi_name} - {lo_name} must be finite")

@@ -18,36 +18,28 @@ a seeded stratified validation split. An empty mask scores +inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .data_io import LabeledDataset, SplitSpec, split_indices
-from .errors import ConfigError, DataError, NumericalError, check_integer
-
-TRANSFER_KINDS = ("s", "v")
+from .errors import (ConfigError, DataError, NumericalError, at_least, between, check_settings,
+                     check_span, one_of, rule_of, setting, within)
 
 
 @dataclass(frozen=True)
 class HhoParams:
-    n_hawks: int
-    max_iters: int
+    n_hawks: int = setting(MISSING, *at_least(2))
+    max_iters: int = setting(MISSING, *at_least(1))
     lower_bound: float = -1.0
     upper_bound: float = 1.0
     seed: int = 0
+    transfer: str = setting("s", *one_of("s", "v"))
 
     def __post_init__(self):
-        check_integer("n_hawks", self.n_hawks)
-        check_integer("max_iters", self.max_iters)
-        if self.n_hawks < 2:
-            raise ConfigError("n_hawks must be at least 2")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
-        if not self.upper_bound > self.lower_bound:
-            raise ConfigError("upper_bound must exceed lower_bound")
-        if not math.isfinite(self.upper_bound - self.lower_bound):
-            raise ConfigError("upper_bound - lower_bound must be finite")
+        check_settings(self)
+        check_span("lower_bound", "upper_bound", self.lower_bound, self.upper_bound)
 
 
 @dataclass(frozen=True)
@@ -79,18 +71,13 @@ class FeatureMask:
 
 @dataclass(frozen=True)
 class FitnessConfig:
-    alpha: float = 0.99
-    knn_k: int = 5
-    val_fraction: float = 0.2
+    alpha: float = setting(0.99, *within(0, 1))
+    knn_k: int = setting(5, *at_least(1))
+    val_fraction: float = setting(0.2, *between(0, 1))
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]")
-        if self.knn_k < 1:
-            raise ConfigError("knn_k must be at least 1")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must lie strictly between 0 and 1")
+        check_settings(self)
 
 
 def init_population(params: HhoParams, dimension: int,
@@ -190,7 +177,7 @@ def transfer_probability(delta, kind: str = "s") -> np.ndarray:
         return np.where(pos, 1.0, ez) / (1.0 + ez)
     if kind == "v":
         return np.abs(np.tanh(delta))
-    raise ConfigError(f"transfer kind must be one of {TRANSFER_KINDS}, got {kind!r}")
+    raise ConfigError(f"transfer {rule_of(HhoParams, 'transfer')[1]}, got {kind!r}")
 
 
 def binarize(position: np.ndarray, current_bits: np.ndarray, kind: str,
@@ -241,23 +228,21 @@ def make_fitness(train: LabeledDataset, config: FitnessConfig) -> Callable[[np.n
     return score
 
 
-def run_bhho(train: LabeledDataset, params: HhoParams, fitness_config: FitnessConfig,
-             transfer: str = "s") -> tuple[FeatureMask, list[tuple[float, int]]]:
+def run_bhho(train: LabeledDataset, params: HhoParams,
+             fitness_config: FitnessConfig) -> tuple[FeatureMask, list[tuple[float, int]]]:
     """Search gene masks over train's genes.
 
     Returns the best mask and the convergence curve: one (best fitness,
     selected count) pair per iteration. A single seeded generator drives the
     whole run, so equal seeds reproduce the trajectory bit for bit.
     """
-    if transfer not in TRANSFER_KINDS:
-        raise ConfigError(f"transfer kind must be one of {TRANSFER_KINDS}, got {transfer!r}")
     score = make_fitness(train, fitness_config)
     rng = np.random.default_rng(params.seed)
     # the bits the V rule flips: all zero for the first draw, then the moving hawk's
     current_bits = np.zeros(train.n_genes, dtype=np.int8)
 
     def evaluate(position: np.ndarray) -> Hawk:
-        bits = binarize(position, current_bits, transfer, rng)
+        bits = binarize(position, current_bits, params.transfer, rng)
         return Hawk(position, bits, score(bits))
 
     hawks = [evaluate(position) for position in init_population(params, train.n_genes, rng)]

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -29,11 +29,12 @@ from .data_io import (LabeledDataset, PhaseScaler, SplitSpec, load_csv, long_for
 # under its old name: perfbench/tracer.py times the pipeline's CSV writes by
 # wrapping pipeline._write_csv, which the writers below look up at call time
 from .data_io import write_csv as _write_csv
-from .errors import ConfigError, check_integer
+from .errors import (POSITIVE, ConfigError, at_least, check_settings, check_span, one_of, rule_of,
+                     setting)
 from .optimizer import FeatureMask, FitnessConfig, HhoParams, run_bhho
 from .sampling import SmoteConfig, smote_oversample
 
-KERNEL_CHOICES = ("z", "zz", "pauli_zyy", "rbf")
+KERNEL_CHOICES = (*quantum.MAP_KINDS, "rbf")
 COMPARE_COLUMNS = ("accuracy", "precision", "recall", "specificity", "f1", "auc")
 
 _TRUE = {"true", "1", "yes", "on"}
@@ -42,88 +43,59 @@ _FALSE = {"false", "0", "no", "off"}
 
 def _key(key: str, default, check=None, rule: str = ""):
     """A config field: its dotted key, its default, and a check its value must pass."""
-    return field(default=default, metadata={"key": key, "check": check, "rule": rule})
-
-
-def _at_least(low):
-    return (lambda v: v >= low), f"must be at least {low}"
-
-
-def _between(low, high):
-    return (lambda v: low < v < high), f"must lie strictly between {low} and {high}"
-
-
-def _one_of(*choices):
-    return (lambda v: v in choices), "must be " + " or ".join(map(repr, choices))
-
-
-_POSITIVE = (lambda v: v > 0), "must be positive"
+    return setting(default, check, rule, key=key)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The one config schema: each field carries its dotted key and its check.
-
-    Every int must also be an integer, not a bool or a float such as 3.0
-    (only library callers can pass one; the CLI converts text with int()),
-    and every float must be finite. smote_targets has no key of its own; it
-    collects the smote.targets.<class> keys.
-    """
+    """The one config schema: each field carries its dotted key and its
+    check, a stage-owned key the stage field's (rule_of). check_settings also
+    makes every int an integer, not a bool or a float such as 3.0 (only
+    library callers can pass one; the CLI converts text with int()), and
+    every float finite. smote_targets collects the smote.targets.<class> keys."""
     data_path: str = _key("data.path", "")
     label_column: str = _key("data.label_column", "label")
     positive_label: str = _key("data.positive_label", "1")
-    test_fraction: float = _key("split.test_fraction", 0.25, *_between(0, 1))
+    test_fraction: float = _key("split.test_fraction", 0.25, *rule_of(SplitSpec, "test_fraction"))
     stratified: bool = _key("split.stratified", True)
     selection_enabled: bool = _key("selection.enabled", True)
     smote_enabled: bool = _key("smote.enabled", True)
-    smote_k: int = _key("smote.k", 5, *_at_least(1))
+    smote_k: int = _key("smote.k", 5, *rule_of(SmoteConfig, "k_neighbors"))
     smote_targets: tuple[tuple[int, int], ...] = ()
-    hho_hawks: int = _key("hho.n", 10, *_at_least(2))
-    hho_iters: int = _key("hho.t", 100, *_at_least(1))
+    hho_hawks: int = _key("hho.n", 10, *rule_of(HhoParams, "n_hawks"))
+    hho_iters: int = _key("hho.t", 100, *rule_of(HhoParams, "max_iters"))
     hho_lower: float = _key("hho.lower", -1.0)
     hho_upper: float = _key("hho.upper", 1.0)
-    hho_transfer: str = _key("hho.transfer", "s", *_one_of("s", "v"))
-    fit_alpha: float = _key("fitness.alpha", 0.99, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-    fit_knn_k: int = _key("fitness.knn_k", 5, *_at_least(1))
-    fit_val_fraction: float = _key("fitness.val_fraction", 0.2, *_between(0, 1))
-    pca_k: int = _key("pca.k", 20, *_at_least(1))
-    qk_map: str = _key("qk.map", "zz", *_one_of(*KERNEL_CHOICES))
-    qk_reps: int = _key("qk.reps", 3, *_at_least(1))
-    qk_mode: str = _key("qk.mode", "exact", *_one_of("exact", "sampled"))
-    qk_shots: int = _key("qk.shots", 100, lambda v: 1 <= v <= quantum.MAX_SHOTS,
-                         f"must lie in [1, {quantum.MAX_SHOTS}]")
-    qk_seed: int = _key("qk.seed", 10598, *_at_least(0))
-    svm_c: float = _key("svm.c", 1.0, *_POSITIVE)
-    svm_tol: float = _key("svm.tol", 1e-3, *_POSITIVE)
-    svm_max_passes: int = _key("svm.max_passes", 0, *_at_least(0))  # 0: the trainer default
-    psd_clip: str = _key("svm.psd_clip", "auto", *_one_of("auto", "on", "off"))
+    hho_transfer: str = _key("hho.transfer", "s", *rule_of(HhoParams, "transfer"))
+    fit_alpha: float = _key("fitness.alpha", 0.99, *rule_of(FitnessConfig, "alpha"))
+    fit_knn_k: int = _key("fitness.knn_k", 5, *rule_of(FitnessConfig, "knn_k"))
+    fit_val_fraction: float = _key("fitness.val_fraction", 0.2,
+                                   *rule_of(FitnessConfig, "val_fraction"))
+    pca_k: int = _key("pca.k", 20, *at_least(1))
+    qk_map: str = _key("qk.map", "zz", *one_of(*KERNEL_CHOICES))
+    qk_reps: int = _key("qk.reps", 3, *rule_of(quantum.FeatureMapSpec, "reps"))
+    qk_mode: str = _key("qk.mode", "exact", *one_of("exact", "sampled"))
+    qk_shots: int = _key("qk.shots", 100, *rule_of(quantum.ShotConfig, "shots"))
+    qk_seed: int = _key("qk.seed", 10598, *rule_of(quantum.ShotConfig, "seed"))
+    svm_c: float = _key("svm.c", 1.0, *POSITIVE)
+    svm_tol: float = _key("svm.tol", 1e-3, *POSITIVE)
+    svm_max_passes: int = _key("svm.max_passes", 0, *at_least(0))  # 0: the trainer default
+    psd_clip: str = _key("svm.psd_clip", "auto", *one_of("auto", "on", "off"))
     scale_lo: float = _key("scale.lo", 0.0)
     scale_hi: float = _key("scale.hi", math.pi)
     pca_before_smote: bool = _key("pipeline.pca_before_smote", False)
-    seed: int = _key("seed", 42, *_at_least(0))
+    seed: int = _key("seed", 42, *at_least(0))
     out_dir: str = _key("out.dir", "runs/out")
 
     def __post_init__(self):
-        for f in fields(self):
-            key, check = f.metadata.get("key"), f.metadata.get("check")
-            value = getattr(self, f.name)
-            if f.type == "int":
-                check_integer(key, value)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite")
-            if check is not None and not check(value):
-                raise ConfigError(f"{key} {f.metadata['rule']}")
-        # the checks that relate two keys; a range must also have a finite width
-        for lo, hi, low, high in (("hho.lower", "hho.upper", self.hho_lower, self.hho_upper),
-                                  ("scale.lo", "scale.hi", self.scale_lo, self.scale_hi)):
-            if not high > low:
-                raise ConfigError(f"{hi} must exceed {lo}")
-            if not math.isfinite(high - low):
-                raise ConfigError(f"{hi} - {lo} must be finite")
+        check_settings(self, _KEYS)
+        check_span("hho.lower", "hho.upper", self.hho_lower, self.hho_upper)
+        check_span("scale.lo", "scale.hi", self.scale_lo, self.scale_hi)
 
 
 # dotted config key -> PipelineConfig field
 _FIELDS = {f.metadata["key"]: f for f in fields(PipelineConfig) if "key" in f.metadata}
+_KEYS = {f.name: key for key, f in _FIELDS.items()}  # PipelineConfig field -> its dotted key
 
 
 def _convert(key: str, raw: str):
@@ -239,7 +211,7 @@ def _select(cfg: PipelineConfig, train: LabeledDataset):
         max_iters=cfg.hho_iters,
         lower_bound=cfg.hho_lower,
         upper_bound=cfg.hho_upper,
-        seed=stage_seed(cfg.seed, "select"),
+        seed=stage_seed(cfg.seed, "select"), transfer=cfg.hho_transfer,
     )
     fitness_config = FitnessConfig(
         alpha=cfg.fit_alpha,
@@ -247,7 +219,7 @@ def _select(cfg: PipelineConfig, train: LabeledDataset):
         val_fraction=cfg.fit_val_fraction,
         seed=stage_seed(cfg.seed, "fitness"),
     )
-    return run_bhho(train, params, fitness_config, transfer=cfg.hho_transfer)
+    return run_bhho(train, params, fitness_config)
 
 
 def split_and_select(cfg: PipelineConfig, ds: LabeledDataset | None = None) -> PreparedData:

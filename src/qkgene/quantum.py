@@ -36,12 +36,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
 from .classifier import mirror_upper
-from .errors import ConfigError, NumericalError, check_integer
+from .errors import ConfigError, NumericalError, at_least, check_settings, one_of, setting, within
 
 MAX_QUBITS = 24
 MAX_SHOTS = 1_000_000  # one kernel entry draws shots x 8 bytes of uniforms
@@ -59,21 +59,14 @@ MAP_KINDS = tuple(_PAIR_GATES)
 
 @dataclass(frozen=True)
 class FeatureMapSpec:
-    n_qubits: int
-    kind: str = "zz"
-    reps: int = 3
+    n_qubits: int = setting(MISSING, *within(1, MAX_QUBITS))
+    kind: str = setting("zz", *one_of(*MAP_KINDS))
+    reps: int = setting(3, *at_least(1))
 
     def __post_init__(self):
-        check_integer("n_qubits", self.n_qubits)
-        check_integer("reps", self.reps)
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}")
-        if self.kind not in MAP_KINDS:
-            raise ConfigError(f"kind must be one of {MAP_KINDS}, got {self.kind!r}")
-        if self.kind in ("zz", "pauli_zyy") and self.n_qubits < 2:
+        check_settings(self)
+        if _PAIR_GATES[self.kind] and self.n_qubits < 2:
             raise ConfigError(f"{self.kind} maps need at least 2 qubits")
-        if self.reps < 1:
-            raise ConfigError("reps must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,13 +259,11 @@ def _embedding_matrix(X: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShotConfig:
-    shots: int = 100
-    seed: int = 10598
+    shots: int = setting(100, *within(1, MAX_SHOTS))
+    seed: int = setting(10598, *at_least(0))
 
     def __post_init__(self):
-        check_integer("shots", self.shots)
-        if not 1 <= self.shots <= MAX_SHOTS:
-            raise ConfigError(f"shots must be in 1..{MAX_SHOTS}")
+        check_settings(self)
 
 
 def _blocks(rows: int, n_qubits: int):

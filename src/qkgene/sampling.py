@@ -15,21 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import LabeledDataset
-from .errors import ConfigError, DataError, check_integer
+from .errors import DataError, at_least, check_integer, check_settings, setting
 
 
 @dataclass(frozen=True)
 class SmoteConfig:
-    k_neighbors: int = 5
+    k_neighbors: int = setting(5, *at_least(1))
     # class label -> desired total count; None raises every class to the
     # majority count
     target_counts: dict[int, int] | None = None
     seed: int = 0
 
     def __post_init__(self):
-        check_integer("k_neighbors", self.k_neighbors)
-        if self.k_neighbors < 1:
-            raise ConfigError("k_neighbors must be at least 1")
+        check_settings(self)
+        for cls, target in (self.target_counts or {}).items():
+            check_integer(f"smote.targets.{cls}", target)
 
 
 def _neighbour_table(points: np.ndarray, k: int) -> np.ndarray:

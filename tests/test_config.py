@@ -5,6 +5,7 @@ Every config either runs or exits 1, 2 or 3; a config error is one stderr
 line that names the user-facing key, never a traceback.
 """
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -22,7 +23,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qkgene import cli, pipeline
+from qkgene.data_io import PhaseScaler, SplitSpec
 from qkgene.errors import ConfigError
+from qkgene.optimizer import FitnessConfig, HhoParams
+from qkgene.quantum import FeatureMapSpec, ShotConfig
+from qkgene.sampling import SmoteConfig
 from qkgene.pipeline import PipelineConfig, config_hash, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -200,6 +205,76 @@ class TestSchema:
             parse_config(settings_)
 
 
+# stage-owned key -> the stage settings field that states its rule, and a
+# value that breaks the rule
+STAGE_OWNED = {
+    "split.test_fraction": (SplitSpec, "test_fraction", 1.0),
+    "smote.k": (SmoteConfig, "k_neighbors", 0),
+    "hho.n": (HhoParams, "n_hawks", 1),
+    "hho.t": (HhoParams, "max_iters", 0),
+    "hho.transfer": (HhoParams, "transfer", "w"),
+    "fitness.alpha": (FitnessConfig, "alpha", 1.5),
+    "fitness.knn_k": (FitnessConfig, "knn_k", 0),
+    "fitness.val_fraction": (FitnessConfig, "val_fraction", 0.0),
+    "qk.reps": (FeatureMapSpec, "reps", 0),
+    "qk.shots": (ShotConfig, "shots", 0),
+    "qk.seed": (ShotConfig, "seed", -1),
+}
+
+# each stage settings class, with the fields it needs to construct
+STAGE_SETTINGS = [(SplitSpec, {}), (SmoteConfig, {}), (HhoParams, {"n_hawks": 2, "max_iters": 1}),
+                  (FitnessConfig, {}), (FeatureMapSpec, {"n_qubits": 2}), (ShotConfig, {}),
+                  (PhaseScaler, {})]
+NUMBER_FIELDS = [(cls, f.name) for cls, _base in STAGE_SETTINGS for f in dataclasses.fields(cls)
+                 if f.type in ("int", "float")]
+
+
+class TestRuleHomes:
+    """Each rule a stage consumes is stated once, on the stage settings field."""
+
+    @pytest.mark.parametrize("key", sorted(STAGE_OWNED))
+    def test_config_check_is_the_stage_fields_check(self, key):
+        cls, name, _bad = STAGE_OWNED[key]
+        stage = {f.name: f for f in dataclasses.fields(cls)}[name]
+        assert pipeline._FIELDS[key].metadata["check"] is stage.metadata["check"]
+        assert pipeline._FIELDS[key].metadata["rule"] is stage.metadata["rule"]
+
+    @pytest.mark.parametrize("key", sorted(STAGE_OWNED))
+    def test_config_and_stage_reject_alike(self, key):
+        """One rule, two wordings: the config names the dotted key, the stage
+        class its field."""
+        cls, name, bad = STAGE_OWNED[key]
+        rule = pipeline._FIELDS[key].metadata["rule"]
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{key} {rule}')}$"):
+            parse_config({key: bad})
+        base = dict(STAGE_SETTINGS)[cls]
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} {rule}')}$"):
+            cls(**{**base, name: bad})
+
+    @pytest.mark.parametrize("cls, name", NUMBER_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+    def test_every_number_field_is_checked(self, cls, name):
+        """An int field takes only integers and a float field only finite
+        numbers, each error naming the field."""
+        base = dict(STAGE_SETTINGS)[cls]
+        if cls.__dataclass_fields__[name].type == "int":
+            cases = [(v, f"{name} must be an integer, got {v!r}") for v in (2.5, True)]
+        else:
+            cases = [(v, f"{name} must be finite") for v in (math.nan, math.inf)]
+        for value, message in cases:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                cls(**{**base, name: value})
+
+
+    @pytest.mark.parametrize("make", [
+        lambda lo, hi: HhoParams(2, 1, lower_bound=lo, upper_bound=hi), PhaseScaler,
+    ], ids=["HhoParams", "PhaseScaler"])
+    def test_overflowing_numpy_span_is_one_config_error(self, make):
+        """A span of numpy floats too wide for a float is a ConfigError, not
+        a RuntimeWarning first."""
+        with pytest.raises(ConfigError, match=r" must be finite$"):
+            make(np.float64(-1e308), np.float64(1e308))
+
+
 class TestCliConfigErrors:
     @pytest.fixture
     def csv_path(self, tmp_path):
@@ -254,6 +329,18 @@ class TestCliConfigErrors:
         assert code == 2
         assert err.startswith("data error: class -1 ") and err.count("\n") == 1, err
         assert "smote.enabled" in err and "split.test_fraction" in err, err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("data.label_column=99", "data.label_column=99 names no column of the 5-column header"),
+        ("data.label_column=-6", "data.label_column=-6 names no column of the 5-column header"),
+        ("data.label_column=foo",
+         "data.label_column=foo names no column of the 5-column header"),
+        ("data.positive_label=7", "{path}: data.positive_label=7 not in classes ['-1', '1']"),
+    ], ids=["index", "negative_index", "name", "positive_label"])
+    def test_label_error_is_one_line_naming_its_key(self, tmp_path, csv_path, setting, message):
+        code, _out, err = run_cli(["run-all", "--data", csv_path, "--out", str(tmp_path / "out"),
+                                   "--no-selection", "--set", "pca.k=2", "--set", setting])
+        assert (code, err) == (2, f"data error: {message.format(path=csv_path)}\n")
 
     def test_effective_pca_k_above_qubit_limit_names_pca_k(self, tmp_path):
         csv_path = write_csv(tmp_path / "wide.csv", 48, 26)

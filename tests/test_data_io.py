@@ -195,7 +195,8 @@ class TestByteOrderMark:
     def test_only_one_mark_is_dropped(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_bytes(BOM + BOM + b"label,g1\na,1\nb,2\n")
-        with pytest.raises(DataError, match="label column 'label' not in header"):
+        with pytest.raises(DataError, match=r"^data\.label_column=label names no column "
+                                             r"of the 2-column header$"):
             load_csv(path, "label", positive_label="a")
 
     def test_run_all_reads_a_marked_file(self, tmp_path):

@@ -608,7 +608,7 @@ class TestTrajectoryGolden:
     @pytest.mark.parametrize("transfer, alpha", sorted(GOLDEN))
     def test_trajectory_is_pinned(self, transfer, alpha, monkeypatch):
         ds = planted_dataset(62, 120, 6, shift=1.2, seed=31, positive_fraction=0.645)
-        params = HhoParams(n_hawks=8, max_iters=25, seed=17)
+        params = HhoParams(n_hawks=8, max_iters=25, seed=17, transfer=transfer)
         scored = hashlib.sha256()
         build = optimizer.make_fitness
 
@@ -624,8 +624,7 @@ class TestTrajectoryGolden:
             return recorded
 
         monkeypatch.setattr(optimizer, "make_fitness", recording_make_fitness)
-        mask, curve = run_bhho(ds, params, FitnessConfig(alpha=alpha, seed=5),
-                               transfer=transfer)
+        mask, curve = run_bhho(ds, params, FitnessConfig(alpha=alpha, seed=5))
         best = np.array([fit for fit, _count in curve], dtype=np.float64)
         final = hashlib.sha256(mask.bits.tobytes() + best.tobytes()).hexdigest()
         assert (final, scored.hexdigest()) == self.GOLDEN[transfer, alpha]

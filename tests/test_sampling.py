@@ -124,6 +124,14 @@ class TestSmote:
         with pytest.raises(ConfigError, match=r"^k_neighbors must be an integer, got 2\.5$"):
             SmoteConfig(k_neighbors=2.5)
 
+    @pytest.mark.parametrize("count", [25.5, 26.0, True])
+    def test_non_integer_target_rejected(self, count):
+        """A float target used to construct and then fail inside rng.integers."""
+        with pytest.raises(ConfigError,
+                           match=rf"^smote\.targets\.1 must be an integer, got {count!r}$"):
+            SmoteConfig(target_counts={-1: 30, 1: count})
+        assert SmoteConfig(target_counts={1: np.int64(26)}).target_counts == {1: 26}
+
     @given(
         n_pos=st.integers(3, 10),
         n_neg=st.integers(3, 10),
