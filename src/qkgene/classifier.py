@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, NumericalError
+from .errors import POSITIVE, ConfigError, ConvergenceError, DataError, NumericalError
 
 SYMMETRY_TOL = 1e-9
 
@@ -32,10 +32,11 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
               max_passes: int | None = None) -> SvmModel:
     """Train on a precomputed kernel; a pass is up to n pair updates.
 
-    Raises ConvergenceError (carrying the residual KKT violation) if the
-    update budget of max_passes * n runs out; the default budget is 10 * n
-    passes. Its message names svm.max_passes and svm.tol, the config keys
-    that set max_passes and tol.
+    Raises ConfigError unless c and tol are positive, and ConvergenceError
+    (carrying the residual KKT violation) if the update budget of
+    max_passes * n runs out; the default budget is 10 * n passes. Its
+    message names svm.max_passes and svm.tol, the config keys that set
+    max_passes and tol.
     """
     K = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -44,10 +45,10 @@ def smo_train(kernel, labels, c: float = 1.0, tol: float = 1e-3,
         raise DataError("kernel size does not match label count")
     if set(np.unique(y).tolist()) != {-1.0, 1.0}:
         raise DataError("training labels must include both -1 and +1")
-    if not c > 0:  # written so that NaN fails too
-        raise DataError("C must be positive")
-    if not tol > 0:
-        raise DataError("tol must be positive")
+    positive, rule = POSITIVE  # the svm.c and svm.tol rule, which NaN fails
+    for name, value in (("c", c), ("tol", tol)):
+        if not positive(value):
+            raise ConfigError(f"{name} {rule}")
     # One n x n buffer: first |K - K'|, then Q. It is in column order, so
     # the pair updates read Q[:, i] contiguously, and it is filled through
     # its row-order transpose Qt, so each fill streams through memory.

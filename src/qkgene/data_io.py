@@ -89,6 +89,12 @@ class SplitSpec:
         check_settings(self, {"test_fraction": self.key})
 
 
+def not_text(path, exc: UnicodeDecodeError) -> str:
+    """The wording of a file that does not decode: the byte and its offset."""
+    byte = exc.object[exc.start]
+    return f"{path}: not {exc.encoding} text: byte {byte:#04x} at offset {exc.start}"
+
+
 def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
     """Read a header+rows CSV into a LabeledDataset.
 
@@ -117,8 +123,7 @@ def load_csv(path, label_column, positive_label: str) -> LabeledDataset:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not {exc.encoding} text: byte {exc.object[exc.start]:#04x} "
-                        f"at offset {exc.start}") from None
+        raise DataError(not_text(path, exc)) from None
     gene_names, features, raw_labels = parsed
 
     if len(features) < 2:

@@ -4,9 +4,9 @@ The CLI maps these onto process exit codes, so every stage raises one of
 the three families below instead of bare ValueError where the failure is
 user-visible: ConfigError for bad settings, DataError for bad input data,
 NumericalError for failures of the numerical machinery itself.
-A setting's rule, a (check, wording) pair that NaN fails, lives on the
-setting() field of the stage class that consumes it; check_settings and
-check_span enforce it, and PipelineConfig reuses it (rule_of) by dotted key.
+A setting's default and rule, a (check, wording) pair that NaN fails, live
+on the setting() field of the stage class that consumes it; check_settings
+and check_span enforce the rule, and PipelineConfig reuses both by dotted key.
 """
 import math
 import numbers
@@ -58,9 +58,9 @@ def setting(default, check=None, rule: str = "", **metadata):
 
 
 def rule_of(cls, name: str):
-    """The (check, wording) rule of settings class cls's field `name`."""
+    """The (check, wording) rule of settings class cls's field `name`; (None, "") for none."""
     meta = cls.__dataclass_fields__[name].metadata
-    return meta["check"], meta["rule"]
+    return meta.get("check"), meta.get("rule", "")
 
 
 def check_integer(name: str, value) -> None:

@@ -17,15 +17,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from . import classifier, metrics, quantum, reduction
 from .data_io import (LabeledDataset, PhaseScaler, SplitSpec, load_csv, long_format_lines,
-                      render, stratified_split, table_lines, write_text)
+                      not_text, render, stratified_split, table_lines, write_text)
 # under its old name: perfbench/tracer.py times the pipeline's CSV writes by
 # wrapping pipeline._write_csv, which the writers below look up at call time
 from .data_io import write_csv as _write_csv
@@ -41,51 +40,52 @@ _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 
-def _key(key: str, default, check=None, rule: str = ""):
-    """A config field: its dotted key, its default, and a check its value must pass."""
-    return setting(default, check, rule, key=key)
+def _stage_key(cls, name: str, default=MISSING, *, key: str):
+    """A config key that sets field `name` of stage settings class cls, with
+    that field's default (unless given: the field has none), check and rule."""
+    if default is MISSING:
+        default = cls.__dataclass_fields__[name].default
+    return setting(default, *rule_of(cls, name), key=key, stage=cls, field=name)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The one config schema: each field carries its dotted key and its
-    check, a stage-owned key the stage field's (rule_of). check_settings also
-    makes every int an integer, not a bool or a float such as 3.0 (only
-    library callers can pass one; the CLI converts text with int()), and
+    """The one config schema: each field carries its dotted key, default and
+    check, a stage-owned key its stage field's (_stage_key). check_settings
+    also makes every int an integer, not a bool or a float such as 3.0, and
     every float finite. smote_targets collects the smote.targets.<class> keys."""
-    data_path: str = _key("data.path", "")
-    label_column: str = _key("data.label_column", "label")
-    positive_label: str = _key("data.positive_label", "1")
-    test_fraction: float = _key("split.test_fraction", 0.25, *rule_of(SplitSpec, "test_fraction"))
-    stratified: bool = _key("split.stratified", True)
-    selection_enabled: bool = _key("selection.enabled", True)
-    smote_enabled: bool = _key("smote.enabled", True)
-    smote_k: int = _key("smote.k", 5, *rule_of(SmoteConfig, "k_neighbors"))
+    data_path: str = setting("", key="data.path")
+    label_column: str = setting("label", key="data.label_column")
+    positive_label: str = setting("1", key="data.positive_label")
+    test_fraction: float = _stage_key(SplitSpec, "test_fraction", key="split.test_fraction")
+    stratified: bool = _stage_key(SplitSpec, "stratified", key="split.stratified")
+    selection_enabled: bool = setting(True, key="selection.enabled")
+    smote_enabled: bool = setting(True, key="smote.enabled")
+    smote_k: int = _stage_key(SmoteConfig, "k_neighbors", key="smote.k")
     smote_targets: tuple[tuple[int, int], ...] = ()
-    hho_hawks: int = _key("hho.n", 10, *rule_of(HhoParams, "n_hawks"))
-    hho_iters: int = _key("hho.t", 100, *rule_of(HhoParams, "max_iters"))
-    hho_lower: float = _key("hho.lower", -1.0)
-    hho_upper: float = _key("hho.upper", 1.0)
-    hho_transfer: str = _key("hho.transfer", "s", *rule_of(HhoParams, "transfer"))
-    fit_alpha: float = _key("fitness.alpha", 0.99, *rule_of(FitnessConfig, "alpha"))
-    fit_knn_k: int = _key("fitness.knn_k", 5, *rule_of(FitnessConfig, "knn_k"))
-    fit_val_fraction: float = _key("fitness.val_fraction", 0.2,
-                                   *rule_of(FitnessConfig, "val_fraction"))
-    pca_k: int = _key("pca.k", 20, *at_least(1))
-    qk_map: str = _key("qk.map", "zz", *one_of(*KERNEL_CHOICES))
-    qk_reps: int = _key("qk.reps", 3, *rule_of(quantum.FeatureMapSpec, "reps"))
-    qk_mode: str = _key("qk.mode", "exact", *one_of("exact", "sampled"))
-    qk_shots: int = _key("qk.shots", 100, *rule_of(quantum.ShotConfig, "shots"))
-    qk_seed: int = _key("qk.seed", 10598, *rule_of(quantum.ShotConfig, "seed"))
-    svm_c: float = _key("svm.c", 1.0, *POSITIVE)
-    svm_tol: float = _key("svm.tol", 1e-3, *POSITIVE)
-    svm_max_passes: int = _key("svm.max_passes", 0, *at_least(0))  # 0: the trainer default
-    psd_clip: str = _key("svm.psd_clip", "auto", *one_of("auto", "on", "off"))
-    scale_lo: float = _key("scale.lo", 0.0)
-    scale_hi: float = _key("scale.hi", math.pi)
-    pca_before_smote: bool = _key("pipeline.pca_before_smote", False)
-    seed: int = _key("seed", 42, *at_least(0))
-    out_dir: str = _key("out.dir", "runs/out")
+    hho_hawks: int = _stage_key(HhoParams, "n_hawks", 10, key="hho.n")
+    hho_iters: int = _stage_key(HhoParams, "max_iters", 100, key="hho.t")
+    hho_lower: float = _stage_key(HhoParams, "lower_bound", key="hho.lower")
+    hho_upper: float = _stage_key(HhoParams, "upper_bound", key="hho.upper")
+    hho_transfer: str = _stage_key(HhoParams, "transfer", key="hho.transfer")
+    fit_alpha: float = _stage_key(FitnessConfig, "alpha", key="fitness.alpha")
+    fit_knn_k: int = _stage_key(FitnessConfig, "knn_k", key="fitness.knn_k")
+    fit_val_fraction: float = _stage_key(FitnessConfig, "val_fraction", key="fitness.val_fraction")
+    pca_k: int = setting(20, *at_least(1), key="pca.k")
+    qk_map: str = setting("zz", *one_of(*KERNEL_CHOICES), key="qk.map")
+    qk_reps: int = _stage_key(quantum.FeatureMapSpec, "reps", key="qk.reps")
+    qk_mode: str = setting("exact", *one_of("exact", "sampled"), key="qk.mode")
+    qk_shots: int = _stage_key(quantum.ShotConfig, "shots", key="qk.shots")
+    qk_seed: int = _stage_key(quantum.ShotConfig, "seed", key="qk.seed")
+    svm_c: float = setting(1.0, *POSITIVE, key="svm.c")
+    svm_tol: float = setting(1e-3, *POSITIVE, key="svm.tol")
+    svm_max_passes: int = setting(0, *at_least(0), key="svm.max_passes")  # 0: the trainer default
+    psd_clip: str = setting("auto", *one_of("auto", "on", "off"), key="svm.psd_clip")
+    scale_lo: float = _stage_key(PhaseScaler, "lo", key="scale.lo")
+    scale_hi: float = _stage_key(PhaseScaler, "hi", key="scale.hi")
+    pca_before_smote: bool = setting(False, key="pipeline.pca_before_smote")
+    seed: int = setting(42, *at_least(0), key="seed")
+    out_dir: str = setting("runs/out", key="out.dir")
 
     def __post_init__(self):
         check_settings(self, _KEYS)
@@ -103,12 +103,9 @@ def _convert(key: str, raw: str):
     raw = raw.strip()
     try:
         if kind == "bool":
-            lowered = raw.lower()
-            if lowered in _TRUE:
-                return True
-            if lowered in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
+            if raw.lower() not in _TRUE | _FALSE:
+                raise ValueError(f"not a boolean: {raw!r}")
+            return raw.lower() in _TRUE
         return {"int": int, "float": float}.get(kind, str)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
@@ -135,20 +132,23 @@ def parse_config(mapping: dict) -> PipelineConfig:
 
 
 def load_config_file(path) -> dict[str, str]:
-    """key=value lines; blank lines and # comments are skipped."""
-    mapping: dict[str, str] = {}
+    """key=value lines; blank lines, # comments and a leading U+FEFF are skipped."""
     try:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, _, value = stripped.partition("=")
-                mapping[key.strip()] = value.strip()
+            text = fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(not_text(path, exc)) from None
+    mapping: dict[str, str] = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, value = stripped.partition("=")
+        mapping[key.strip()] = value.strip()
     return mapping
 
 
@@ -163,9 +163,7 @@ def config_hash(cfg: PipelineConfig) -> str:
         else:
             text = str(value)
         parts.append(f"{key}={text}")
-    parts.append(
-        "smote.targets=" + ",".join(f"{c}:{n}" for c, n in sorted(cfg.smote_targets))
-    )
+    parts.append("smote.targets=" + ",".join(f"{c}:{n}" for c, n in sorted(cfg.smote_targets)))
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
 
@@ -176,6 +174,26 @@ def stage_seed(master: int, stage: str) -> int:
     """Per-stage stream derived from the master seed."""
     seq = np.random.SeedSequence([master, _STAGE_INDEX[stage]])
     return int(seq.generate_state(1, np.uint64)[0])
+
+
+# stage settings class -> its fields no config key sets, from the config and the effective pca.k
+_DERIVED = {
+    SplitSpec: lambda cfg, k: {"seed": stage_seed(cfg.seed, "split"), "key": "split.test_fraction"},
+    SmoteConfig: lambda cfg, k: {"seed": stage_seed(cfg.seed, "smote"),
+                                 "target_counts": dict(cfg.smote_targets) or None},
+    HhoParams: lambda cfg, k: {"seed": stage_seed(cfg.seed, "select")},
+    FitnessConfig: lambda cfg, k: {"seed": stage_seed(cfg.seed, "fitness")},
+    quantum.FeatureMapSpec: lambda cfg, k: {"n_qubits": k, "kind": cfg.qk_map},
+    quantum.ShotConfig: lambda cfg, k: {},
+    PhaseScaler: lambda cfg, k: {},
+}
+
+
+def _stage_settings(cls, cfg: PipelineConfig, k_effective: int = 0):
+    """Stage settings class cls: its fields' config keys (_stage_key), then _DERIVED's values."""
+    values = {f.metadata["field"]: getattr(cfg, f.name)
+              for f in _FIELDS.values() if f.metadata.get("stage") is cls}
+    return cls(**values, **_DERIVED[cls](cfg, k_effective))
 
 
 @dataclass
@@ -198,41 +216,20 @@ def _load(cfg: PipelineConfig, ds: LabeledDataset | None) -> LabeledDataset:
     if not cfg.data_path:
         raise ConfigError("data.path is required")
     label_column: str | int = cfg.label_column
-    try:
+    with contextlib.suppress(ValueError):
         label_column = int(cfg.label_column)
-    except ValueError:
-        pass
     return load_csv(cfg.data_path, label_column, cfg.positive_label)
-
-
-def _select(cfg: PipelineConfig, train: LabeledDataset):
-    params = HhoParams(
-        n_hawks=cfg.hho_hawks,
-        max_iters=cfg.hho_iters,
-        lower_bound=cfg.hho_lower,
-        upper_bound=cfg.hho_upper,
-        seed=stage_seed(cfg.seed, "select"), transfer=cfg.hho_transfer,
-    )
-    fitness_config = FitnessConfig(
-        alpha=cfg.fit_alpha,
-        knn_k=cfg.fit_knn_k,
-        val_fraction=cfg.fit_val_fraction,
-        seed=stage_seed(cfg.seed, "fitness"),
-    )
-    return run_bhho(train, params, fitness_config)
 
 
 def split_and_select(cfg: PipelineConfig, ds: LabeledDataset | None = None) -> PreparedData:
     """Load and split; with selection.enabled, keep only the genes the search selects."""
     ds = _load(cfg, ds)
-    train, test = stratified_split(
-        ds, SplitSpec(cfg.test_fraction, stage_seed(cfg.seed, "split"), cfg.stratified,
-                      key="split.test_fraction")
-    )
+    train, test = stratified_split(ds, _stage_settings(SplitSpec, cfg))
     prep = PreparedData(train=train, test=test, gene_names=list(ds.gene_names))
     del ds  # the split copied its rows: free the loaded matrix
     if cfg.selection_enabled:
-        prep.mask, prep.history = _select(cfg, train)
+        prep.mask, prep.history = run_bhho(train, _stage_settings(HhoParams, cfg),
+                                           _stage_settings(FitnessConfig, cfg))
         prep.train = train.select_genes(prep.mask.bits)
         prep.test = test.select_genes(prep.mask.bits)
     return prep
@@ -242,14 +239,11 @@ def prepare(cfg: PipelineConfig, ds: LabeledDataset | None = None) -> PreparedDa
     """split_and_select, then oversampling, PCA and phase scaling, in cfg's order."""
     prep = split_and_select(cfg, ds)
     train, test = prep.train, prep.test
-    smote_cfg = SmoteConfig(
-        k_neighbors=cfg.smote_k,
-        target_counts=dict(cfg.smote_targets) if cfg.smote_targets else None,
-        seed=stage_seed(cfg.seed, "smote"),
-    )
 
     def resample(part: LabeledDataset) -> LabeledDataset:
-        return smote_oversample(part, smote_cfg) if cfg.smote_enabled else part
+        if not cfg.smote_enabled:
+            return part
+        return smote_oversample(part, _stage_settings(SmoteConfig, cfg))
 
     if not cfg.pca_before_smote:
         train = resample(train)
@@ -260,7 +254,7 @@ def prepare(cfg: PipelineConfig, ds: LabeledDataset | None = None) -> PreparedDa
     if cfg.pca_before_smote:
         train = resample(train)
 
-    scaler = PhaseScaler(cfg.scale_lo, cfg.scale_hi).fit(train.features)
+    scaler = _stage_settings(PhaseScaler, cfg).fit(train.features)
     prep.train, prep.test = scaler.transform(train), scaler.transform(test)
     prep.pca, prep.scaler, prep.k_effective = pca, scaler, k_eff
     digest = hashlib.sha256()
@@ -277,14 +271,11 @@ def _kernels(cfg: PipelineConfig, prep: PreparedData):
         return (classifier.rbf_kernel_matrix(prep.train.features, gamma=gamma),
                 classifier.rbf_kernel_matrix(prep.test.features, prep.train.features,
                                              gamma=gamma))
-    # the effective pca.k is known only here: clamped to the genes and rows left
-    if k > quantum.MAX_QUBITS:
-        raise ConfigError(f"pca.k must be at most {quantum.MAX_QUBITS} for the {kind} map "
-                          f"(effective pca.k here: {k})")
-    if k < 2 and kind != "z":
-        raise ConfigError(f"the {kind} map needs pca.k of at least 2 (effective pca.k here: {k})")
-    spec = quantum.FeatureMapSpec(n_qubits=k, kind=kind, reps=cfg.qk_reps)
-    shots = quantum.ShotConfig(cfg.qk_shots, cfg.qk_seed) if cfg.qk_mode == "sampled" else None
+    try:  # the effective pca.k is known only here: clamped to the genes and rows left
+        spec = _stage_settings(quantum.FeatureMapSpec, cfg, k)
+    except ConfigError as exc:
+        raise ConfigError(f"effective pca.k {k} for the {kind} map: {exc}") from None
+    shots = _stage_settings(quantum.ShotConfig, cfg) if cfg.qk_mode == "sampled" else None
     k_train = quantum.kernel_matrix(prep.train.features, spec, shots)
     k_cross = quantum.cross_kernel_matrix(prep.test.features, prep.train.features, spec, shots)
     return k_train, k_cross

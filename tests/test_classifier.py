@@ -14,7 +14,7 @@ from qkgene.classifier import (
     rbf_kernel_matrix,
     smo_train,
 )
-from qkgene.errors import ConvergenceError, DataError, NumericalError
+from qkgene.errors import ConfigError, ConvergenceError, DataError, NumericalError
 
 from oracles import pgd_qp
 
@@ -130,13 +130,14 @@ class TestSmoTrain:
             smo_train(np.eye(2), y)
         with pytest.raises(DataError):
             smo_train(K, np.array([1, 1, 1]))
-        with pytest.raises(DataError):
+        # c and tol are settings: svm.c's and svm.tol's rule, named by argument
+        with pytest.raises(ConfigError, match="^c must be positive$"):
             smo_train(K, y, c=0.0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="^tol must be positive$"):
             smo_train(K, y, tol=-1.0)
-        with pytest.raises(DataError, match="C must be positive"):
+        with pytest.raises(ConfigError, match="^c must be positive$"):
             smo_train(K, y, c=float("nan"))
-        with pytest.raises(DataError, match="tol must be positive"):
+        with pytest.raises(ConfigError, match="^tol must be positive$"):
             smo_train(K, y, tol=float("nan"))
 
     def test_asymmetric_kernel_rejected(self):

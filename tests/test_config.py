@@ -228,6 +228,21 @@ STAGE_SETTINGS = [(SplitSpec, {}), (SmoteConfig, {}), (HhoParams, {"n_hawks": 2,
 NUMBER_FIELDS = [(cls, f.name) for cls, _base in STAGE_SETTINGS for f in dataclasses.fields(cls)
                  if f.type in ("int", "float")]
 
+# every config key a stage consumes -> the stage settings field it sets
+STAGE_KEYS = {
+    "split.test_fraction": (SplitSpec, "test_fraction"),
+    "split.stratified": (SplitSpec, "stratified"),
+    "smote.k": (SmoteConfig, "k_neighbors"),
+    "hho.n": (HhoParams, "n_hawks"), "hho.t": (HhoParams, "max_iters"),
+    "hho.lower": (HhoParams, "lower_bound"), "hho.upper": (HhoParams, "upper_bound"),
+    "hho.transfer": (HhoParams, "transfer"),
+    "fitness.alpha": (FitnessConfig, "alpha"), "fitness.knn_k": (FitnessConfig, "knn_k"),
+    "fitness.val_fraction": (FitnessConfig, "val_fraction"),
+    "qk.reps": (FeatureMapSpec, "reps"),
+    "qk.shots": (ShotConfig, "shots"), "qk.seed": (ShotConfig, "seed"),
+    "scale.lo": (PhaseScaler, "lo"), "scale.hi": (PhaseScaler, "hi"),
+}
+
 
 class TestRuleHomes:
     """Each rule a stage consumes is stated once, on the stage settings field."""
@@ -250,6 +265,57 @@ class TestRuleHomes:
         base = dict(STAGE_SETTINGS)[cls]
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} {rule}')}$"):
             cls(**{**base, name: bad})
+
+    def test_stage_keys_are_declared_on_their_stage_fields(self):
+        declared = {key: (f.metadata["stage"], f.metadata["field"])
+                    for key, f in pipeline._FIELDS.items() if "stage" in f.metadata}
+        assert declared == STAGE_KEYS
+
+    @pytest.mark.parametrize("key", sorted(STAGE_KEYS))
+    def test_config_default_is_the_stage_fields_default(self, key):
+        """hho.n and hho.t keep their own defaults: their stage fields have none."""
+        cls, name = STAGE_KEYS[key]
+        stage_default = cls.__dataclass_fields__[name].default
+        own = {"hho.n": 10, "hho.t": 100}
+        if key in own:
+            assert stage_default is dataclasses.MISSING
+        assert pipeline._FIELDS[key].default == own.get(key, stage_default)
+
+    def test_run_hands_each_stage_its_settings(self, tmp_path, monkeypatch):
+        """With every stage-owned key off its default, each stage gets the
+        settings object built by hand from the keys, so no key reaches the
+        wrong field (say hho.lower and hho.upper swapped)."""
+        settings_ = {key: EVERY_KEY_SET[key] for key in STAGE_KEYS}
+        settings_.update({"data.path": write_csv(tmp_path / "data.csv", 40, 16),
+                          "out.dir": str(tmp_path / "out"), "seed": "123", "pca.k": "3",
+                          "qk.map": "pauli_zyy", "qk.mode": "sampled",
+                          "smote.targets.1": "30"})
+        cfg = parse_config(settings_)
+        assert all(getattr(cfg, pipeline._FIELDS[key].name) != pipeline._FIELDS[key].default
+                   for key in STAGE_KEYS)
+        calls = {}
+        for module, name in [(pipeline, "stratified_split"), (pipeline, "run_bhho"),
+                             (pipeline, "smote_oversample"), (pipeline.quantum, "kernel_matrix")]:
+            def spy(*args, _name=name, _real=getattr(module, name)):
+                calls[_name] = args
+                return _real(*args)
+            monkeypatch.setattr(module, name, spy)
+        res = pipeline.run(cfg, "kernel")
+
+        def seed(stage):
+            return pipeline.stage_seed(123, stage)
+        assert calls["stratified_split"][1] == SplitSpec(0.3, seed("split"), False,
+                                                         key="split.test_fraction")
+        assert calls["run_bhho"][1:] == (
+            HhoParams(n_hawks=7, max_iters=9, lower_bound=-2.5, upper_bound=4.0,
+                      seed=seed("select"), transfer="v"),
+            FitnessConfig(alpha=0.9, knn_k=3, val_fraction=0.35, seed=seed("fitness")))
+        assert calls["smote_oversample"][1] == SmoteConfig(k_neighbors=3, target_counts={1: 30},
+                                                           seed=seed("smote"))
+        assert calls["kernel_matrix"][1:] == (
+            FeatureMapSpec(n_qubits=res.prep.k_effective, kind="pauli_zyy", reps=2),
+            ShotConfig(shots=512, seed=7))
+        assert (res.prep.scaler.lo, res.prep.scaler.hi) == (-0.5, 0.75)
 
     @pytest.mark.parametrize("cls, name", NUMBER_FIELDS, ids=lambda v: getattr(v, "__name__", v))
     def test_every_number_field_is_checked(self, cls, name):
@@ -347,8 +413,8 @@ class TestCliConfigErrors:
         code, _out, err = run_cli(["kernel", "--data", csv_path, "--out", str(tmp_path / "out"),
                                    "--no-selection", "--set", "pca.k=30"])
         assert code == 1
-        assert err == ("config error: pca.k must be at most 24 for the zz map "
-                       "(effective pca.k here: 26)\n")
+        assert err == ("config error: effective pca.k 26 for the zz map: "
+                       "n_qubits must lie in [1, 24]\n")
 
     @pytest.mark.parametrize("kind", ["zz", "pauli_zyy"])
     def test_one_gene_left_for_an_entangling_map_names_pca_k(self, tmp_path, kind):
@@ -356,8 +422,25 @@ class TestCliConfigErrors:
         code, _out, err = run_cli(["run-all", "--data", csv_path, "--out", str(tmp_path / "out"),
                                    "--no-selection", "--set", f"qk.map={kind}"])
         assert code == 1
-        assert err == (f"config error: the {kind} map needs pca.k of at least 2 "
-                       "(effective pca.k here: 1)\n")
+        assert err == (f"config error: effective pca.k 1 for the {kind} map: "
+                       f"{kind} maps need at least 2 qubits\n")
+
+    def test_config_file_not_utf8_is_one_line_naming_byte_and_offset(self, tmp_path):
+        conf = tmp_path / "bad.cfg"
+        conf.write_bytes(b"seed=1\ndata.path=caf\xe9.csv\n")
+        code, _out, err = run_cli(["run-all", "--config", str(conf)])
+        assert code == 1
+        assert err == f"config error: {conf}: not utf-8 text: byte 0xe9 at offset 20\n"
+
+    def test_config_file_byte_order_mark_is_dropped(self, tmp_path, csv_path):
+        """A file saved as "UTF-8 with BOM" runs: its first key is read as
+        written, not with U+FEFF in front."""
+        conf = tmp_path / "bom.cfg"
+        conf.write_bytes("\ufeffpca.k=2\n# a comment\nseed=5\n".encode())
+        assert pipeline.load_config_file(conf) == {"pca.k": "2", "seed": "5"}
+        code, _out, err = run_cli(["reduce", "--config", str(conf), "--data", csv_path,
+                                   "--out", str(tmp_path / "out"), "--no-selection"])
+        assert (code, err) == (0, "")
 
     def test_unwritable_out_dir_names_out_dir(self, tmp_path, csv_path):
         code, _out, err = run_cli(["reduce", "--data", csv_path, "--out", csv_path,
